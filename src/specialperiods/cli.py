@@ -245,6 +245,10 @@ def _cmd_psf_check(config: RunConfig, out) -> int:
 
 
 def _cmd_report(config: RunConfig, out) -> int:
+    if config.flags["trials"] < 1:
+        raise ParseError("--trials must be at least 1")
+    if config.flags["charge_bound"] < 0:
+        raise ParseError("--charge-bound must be nonnegative")
     omega = _load_matrix(config)
     results = report.run_identity_suite(
         omega,

@@ -72,12 +72,15 @@ def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatr
     """Symmetrize and validate a raw complex matrix.
 
     The stored matrix is the exact symmetrization (raw + raw.T) / 2, so that
-    downstream identities can rely on exact symmetry.  Positive definiteness
-    of the imaginary part is tested through its symmetric eigenvalues.
+    downstream identities can rely on exact symmetry.  Every entry must be
+    finite.  Positive definiteness of the imaginary part is tested through
+    its symmetric eigenvalues.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
         raise ValueError("expected a square matrix, got shape %r" % (raw.shape,))
+    if not np.all(np.isfinite(raw)):
+        raise DomainError("matrix has a non-finite (NaN or infinite) entry")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     asym = np.max(np.abs(raw - raw.T))

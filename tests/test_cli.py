@@ -246,6 +246,28 @@ def test_cli_report(fixture_matrix_path):
     assert "positivity-box" in out
 
 
+def test_cli_report_flag_ranges(fixture_matrix_path):
+    # too few trials would silently drop identities; a negative bound has no box
+    for flags in (["--trials", "0"], ["--trials", "-1"], ["--charge-bound", "-1"]):
+        code, out = run_cli(["report", str(fixture_matrix_path)] + flags)
+        assert code == 2, flags
+        assert out == ""
+    code, out = run_cli(
+        ["report", str(fixture_matrix_path), "--trials", "1", "--charge-bound", "0"]
+    )
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_cli_rejects_non_finite_matrix(tmp_path):
+    mat = tmp_path / "inf.mat"
+    mat.write_text("genus 1\n0+1e999i\n")
+    for argv in (["validate", str(mat)], ["report", str(mat), "--trials", "5"]):
+        code, out = run_cli(argv)
+        assert code == 1, argv
+        assert "status OK" not in out and "PASS" not in out
+
+
 def test_cli_usage_errors():
     code, _ = run_cli(["no-such-command"])
     assert code == 2

@@ -59,6 +59,15 @@ def test_non_square_rejected():
         validate_period_matrix(np.zeros((2, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("entry", [np.nan, complex(0, np.inf), complex(np.nan, np.inf)])
+def test_non_finite_entries_rejected(entry):
+    # every other guard is a comparison, which is False on NaN
+    with pytest.raises(DomainError, match="non-finite"):
+        validate_period_matrix([[entry]])
+    with pytest.raises(DomainError, match="non-finite"):
+        validate_period_matrix([[1j, 0], [0, entry]])
+
+
 def test_random_siegel_point_properties():
     tau = random_siegel_point(1, seed=0).tau
     assert tau.imag >= 1.0
