@@ -76,13 +76,11 @@ from .special import (
     cover_data,
     cover_degree,
     cover_monodromy,
-    dual_eigenvalue,
     psf_check,
     psf_coefficient,
     search_solutions,
     solution_record,
     solve_c,
-    special_eigenvalue,
 )
 from .torus import (
     GridField,

@@ -120,13 +120,8 @@ def _cmd_torus_fd(config: RunConfig, out) -> int:
     tau = config.flags["tau"]
     resolution = config.flags["resolution"]
     out.write("# n m lambda resid_N resid_2N ratio\n")
-    charges = [
-        (n, m)
-        for n in range(-config.flags["max"], config.flags["max"] + 1)
-        for m in range(-config.flags["max"], config.flags["max"] + 1)
-    ]
-    charges.sort(key=lambda nm: (nm[0] ** 2 + nm[1] ** 2, nm[0], nm[1]))
-    for n, m in charges:
+    for entry in torus.spectrum_table(tau, config.flags["max"]):
+        n, m = entry.charge
         lam, coarse = torus.fd_eigen_residual(tau, n, m, resolution)
         _, fine = torus.fd_eigen_residual(tau, n, m, 2 * resolution)
         ratio = coarse / fine if fine > 0 else 0.0
@@ -208,7 +203,7 @@ def _cmd_cm_check(config: RunConfig, out) -> int:
     probe = parse_charge(config.flags["probe"], omega.genus)
     wedge = special.cm_wedge_residual(omega, base, probe)
     _print_kv(out, "wedge_residual", _fmt(wedge))
-    record = special.solution_record(omega, base, probe, tol=config.tol, bound=config.bound)
+    record = special.solution_record(omega, base, probe, tol=config.tol)
     _print_kv(out, "classification", record.classification)
     _print_kv(out, "c", format_complex(record.c))
     _print_kv(out, "lambda_c", _fmt(record.lambda_c))
@@ -345,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix(p)
     p.add_argument("--base", required=True)
     p.add_argument("--probe", required=True)
-    p.add_argument("--bound", type=int, default=2)
     add_common(p)
 
     p = sub.add_parser("psf-check", help="lattice-sum reciprocity for one probe")

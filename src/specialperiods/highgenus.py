@@ -14,11 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .differentials import lattice_image
-from .errors import DegenerateBase, ParseError
+from .errors import ParseError
 from .siegel import LatticeCharge, PeriodMatrix
-
-_BASE_EPS = 1e-14
+from .special import base_image
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +47,7 @@ class RatioMatrix:
 
 
 def ratio_matrix(omega: PeriodMatrix, base: LatticeCharge) -> RatioMatrix:
-    v = lattice_image(omega, base)
-    if np.min(np.abs(v)) < _BASE_EPS:
-        raise DegenerateBase("a base image component vanishes")
+    v = base_image(omega, base)
     return RatioMatrix(entries=v[:, None] / v[None, :])
 
 

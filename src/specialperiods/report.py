@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import differentials, pairings
-from .siegel import PeriodMatrix
+from .siegel import PeriodMatrix, charge_box
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,7 @@ def positivity_sweep(omega: PeriodMatrix, bound: int):
     full box is affordable up to genus 3 and bound 3.
     """
     h = omega.genus
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * (2 * h)), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
+    flat = charge_box(2 * h, bound)
     n_part = flat[:, :h].astype(float)
     m_part = flat[:, h:].astype(float)
     o1, o2 = omega.real_part, omega.imag_part

@@ -73,7 +73,7 @@ def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatr
 
     The stored matrix is the exact symmetrization (raw + raw.T) / 2, so that
     downstream identities can rely on exact symmetry.  Every entry must be
-    finite.  Positive definiteness of the imaginary part is tested through
+    finite, before and after symmetrization.  Positive definiteness of the imaginary part is tested through
     its symmetric eigenvalues.
     """
     raw = np.asarray(raw, dtype=complex)
@@ -88,20 +88,30 @@ def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatr
         raise AsymmetryError(
             "matrix is asymmetric: max |A - A^T| = %.3e > %.3e" % (asym, tol)
         )
-    sym = (raw + raw.T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (raw + raw.T) / 2
+    if not np.all(np.isfinite(sym)):
+        raise DomainError("matrix overflows when symmetrized")
     imag = sym.imag.copy()
     eigs = np.linalg.eigvalsh(imag)
-    if eigs[0] <= 0:
+    if not eigs[0] > 0:
         raise NotPositiveDefinite(
             "imaginary part is not positive definite (min eigenvalue %.3e)" % eigs[0]
         )
     inverse = np.linalg.inv(imag)
     defect = np.max(np.abs(imag @ inverse - np.eye(imag.shape[0])))
-    if defect > _INVERSE_TOL:
+    if not defect <= _INVERSE_TOL:
         raise NotPositiveDefinite(
             "imaginary part is too ill-conditioned to invert (defect %.3e)" % defect
         )
     return PeriodMatrix(entries=sym, imag_inverse=inverse)
+
+
+def charge_box(dim: int, bound: int) -> np.ndarray:
+    """All integer points of [-bound, bound]^dim in lexicographic order."""
+    side = np.arange(-bound, bound + 1, dtype=np.int64)
+    grids = np.meshgrid(*([side] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def random_siegel_point(h: int, seed: int) -> PeriodMatrix:

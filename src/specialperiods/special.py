@@ -7,13 +7,17 @@ surface as a branched cover of a torus and give the Jacobian complex
 multiplication.  The box search enumerates all probes up to a bound,
 records the scale factor, eigenvalues, covering degree, and a
 classification, and is deterministic for any worker count.
+
+Every record takes one path, whether it comes from the box search or from a
+single probe (``solution_record``, ``solve_c``): the acceptance kernel
+``_scan_rows``, the sign and classification rule ``_normalize``, and the
+record builder ``_record``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from .errors import (
     NotASolution,
     NotIntegralDegree,
 )
-from .pairings import area
-from .siegel import CyclePair, LatticeCharge, PeriodMatrix
+from .pairings import area, integer_defect
+from .siegel import CyclePair, LatticeCharge, PeriodMatrix, charge_box
 
 PI = np.pi
 
@@ -84,76 +88,64 @@ def consistency_ratios(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeC
     return lattice_image(omega, probe) / v
 
 
-def _ratio_accept(omega, v: np.ndarray, probe: LatticeCharge, tol: float):
-    """Shared acceptance test.  Returns the raw conjugate scale factor.
+def _scan_rows(omega, v, rows: np.ndarray):
+    """The acceptance kernel: conjugate scale factor and residual of each probe.
 
     The residual max_j |v'_j - cbar v_j| is normalized by max_j |v_j| so the
-    tolerance is scale free.
+    tolerance is scale free.  Elementwise arithmetic only, so results do not
+    depend on how the box is partitioned across workers.
     """
-    vp = lattice_image(omega, probe)
-    scale = np.max(np.abs(v))
+    h = omega.genus
+    n_part = rows[:, :h].astype(float)
+    m_part = rows[:, h:].astype(float)
+    images = m_part - n_part @ omega.entries
     anchor = int(np.argmax(np.abs(v)))
-    cbar = vp[anchor] / v[anchor]
-    residual = np.max(np.abs(vp - cbar * v)) / scale
-    if residual > tol:
+    scale = np.max(np.abs(v))
+    cbars = images[:, anchor] / v[anchor]
+    residuals = np.max(np.abs(images - cbars[:, None] * v[None, :]), axis=1) / scale
+    return cbars, residuals
+
+
+def _accepted(omega, v, rows: np.ndarray, tol: float) -> list:
+    """(flat probe, cbar) of every row the kernel accepts."""
+    cbars, residuals = _scan_rows(omega, v, rows)
+    keep = np.nonzero(residuals <= tol)[0]
+    return [(tuple(int(x) for x in rows[i]), complex(cbars[i])) for i in keep]
+
+
+def _accept_probe(omega, base: LatticeCharge, probe: LatticeCharge, tol: float) -> complex:
+    """Conjugate scale factor of one probe, which the kernel must accept."""
+    if probe.is_zero:
+        raise NotASolution("the zero probe is degenerate")
+    v = base_image(omega, base)
+    cbars, residuals = _scan_rows(omega, v, np.array([probe.n + probe.m]))
+    if not residuals[0] <= tol:
         raise NotASolution(
-            "probe image is not proportional to the base image (residual %.3e)" % residual
+            "probe image is not proportional to the base image (residual %.3e)" % residuals[0]
         )
-    return complex(cbar)
+    return complex(cbars[0])
 
 
-def _classify(cbar: complex, tol: float, bound: int) -> str:
-    c = np.conj(cbar)
-    if abs(c) <= tol:
-        return DEGENERATE
-    if abs(c.imag) <= tol:
-        # A real scale factor between integer charges is forced to be
-        # rational with denominator bounded by the box, so the fraction
-        # test below cannot fail for genuine records.
-        frac = Fraction(c.real).limit_denominator(max(1, 2 * bound * bound))
-        if abs(float(frac) - c.real) <= tol:
-            return COLLINEAR_RATIONAL
-        return COLLINEAR_RATIONAL
-    return SPECIAL_COMPLEX
+def _normalize(cbar: complex, tol: float):
+    """(sign, c, classification) of an accepted conjugate scale factor.
 
-
-def solve_c(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCharge, tol: float) -> complex:
-    """Scale factor of an accepted probe, sign-normalized.
-
-    The returned value c satisfies (for the probe up to an overall sign flip)
-    image(probe) = conj(c) * image(base), with Im conj(c) >= 0.
+    The probe is flipped exactly when Im cbar < -tol, so a special record has
+    Im conj(c) > 0.  Negation keeps the sign of a zero imaginary part, which
+    the tables print.
     """
-    if probe.is_zero:
-        raise NotASolution("the zero probe is degenerate")
-    v = base_image(omega, base)
-    cbar = _ratio_accept(omega, v, probe, tol)
-    if cbar.imag < -tol:
-        cbar = -cbar
-    return complex(np.conj(cbar))
-
-
-def solution_record(
-    omega: PeriodMatrix,
-    base: LatticeCharge,
-    probe: LatticeCharge,
-    tol: float,
-    bound: int,
-) -> SolutionRecord:
-    """Build the full record for one accepted probe."""
-    if probe.is_zero:
-        raise NotASolution("the zero probe is degenerate")
-    v = base_image(omega, base)
-    cbar = _ratio_accept(omega, v, probe, tol)
-    return _record_from_cbar(omega, base, probe, cbar, tol, bound)
-
-
-def _record_from_cbar(omega, base, probe, cbar, tol, bound) -> SolutionRecord:
-    classification = _classify(cbar, tol, bound)
     sign = 1
-    if classification == SPECIAL_COMPLEX and cbar.imag < 0:
-        sign = -1
-        cbar = -cbar
+    if cbar.imag < -tol:
+        sign, cbar = -1, -cbar
     c = complex(np.conj(cbar))
+    if abs(c) <= tol:
+        return sign, c, DEGENERATE
+    if abs(c.imag) <= tol:
+        return sign, c, COLLINEAR_RATIONAL
+    return sign, c, SPECIAL_COMPLEX
+
+
+def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
+    sign, c, classification = _normalize(cbar, tol)
     base_area = area(omega, base)
     lambda_c = 2.0 * base_area * abs(c) ** 2
     probe_area = area(omega, probe)
@@ -172,29 +164,23 @@ def _record_from_cbar(omega, base, probe, cbar, tol, bound) -> SolutionRecord:
     return record
 
 
-def _enumerate_box(dim: int, bound: int) -> np.ndarray:
-    """All integer points of [-bound, bound]^dim in lexicographic order."""
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def solve_c(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCharge, tol: float) -> complex:
+    """Scale factor of an accepted probe, sign-normalized.
 
-
-def _scan_rows(omega, v, rows: np.ndarray, tol: float):
-    """Vectorized acceptance over a slab of probes.
-
-    Elementwise arithmetic only, so results do not depend on how the box is
-    partitioned across workers.
+    The returned value c satisfies (for the probe up to an overall sign flip)
+    image(probe) = conj(c) * image(base), with Im conj(c) >= -tol.
     """
-    h = omega.genus
-    n_part = rows[:, :h].astype(float)
-    m_part = rows[:, h:].astype(float)
-    images = m_part - n_part @ omega.entries
-    anchor = int(np.argmax(np.abs(v)))
-    scale = np.max(np.abs(v))
-    cbars = images[:, anchor] / v[anchor]
-    residuals = np.max(np.abs(images - cbars[:, None] * v[None, :]), axis=1) / scale
-    keep = residuals <= tol
-    return [(tuple(int(x) for x in rows[i]), complex(cbars[i])) for i in np.nonzero(keep)[0]]
+    return _normalize(_accept_probe(omega, base, probe, tol), tol)[1]
+
+
+def solution_record(
+    omega: PeriodMatrix,
+    base: LatticeCharge,
+    probe: LatticeCharge,
+    tol: float,
+) -> SolutionRecord:
+    """Build the full record for one accepted probe, as the box search would."""
+    return _record(omega, base, probe, _accept_probe(omega, base, probe, tol), tol)
 
 
 def search_solutions(
@@ -213,33 +199,22 @@ def search_solutions(
         raise ValueError("bound must be at least 1")
     v = base_image(omega, base)
     h = omega.genus
-    rows = _enumerate_box(2 * h, bound)
+    rows = charge_box(2 * h, bound)
     rows = rows[np.any(rows != 0, axis=1)]
     threads = max(1, int(threads))
     if threads == 1 or len(rows) < 2 * threads:
-        accepted = _scan_rows(omega, v, rows, tol)
+        accepted = _accepted(omega, v, rows, tol)
     else:
         chunks = np.array_split(rows, threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda chunk: _scan_rows(omega, v, chunk, tol), chunks))
+            parts = list(pool.map(lambda chunk: _accepted(omega, v, chunk, tol), chunks))
         accepted = [item for part in parts for item in part]
     accepted.sort(key=lambda item: item[0])
     records = []
     for flat, cbar in accepted:
         probe = LatticeCharge(flat[:h], flat[h:])
-        records.append(_record_from_cbar(omega, base, probe, cbar, tol, bound))
+        records.append(_record(omega, base, probe, cbar, tol))
     return records
-
-
-def special_eigenvalue(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> float:
-    """Eigenvalue 2 A |c|^2 of the base metric's Laplacian at this record."""
-    return float(2.0 * area(omega, base) * abs(record.c) ** 2)
-
-
-def dual_eigenvalue(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> float:
-    """Eigenvalue of the probe metric's Laplacian acting on the base phase."""
-    lam = special_eigenvalue(omega, base, record)
-    return float(4.0 * area(omega, base) * area(omega, record.probe) / lam)
 
 
 def _cover_vector(base: LatticeCharge, record: SolutionRecord) -> np.ndarray:
@@ -262,15 +237,8 @@ def cover_monodromy(
     """
     u = _cover_vector(base, record)
     value = complex(u @ (cycle.p_vec + omega.entries @ cycle.q_vec))
-    effective = record.effective_probe
-    const = -int(
-        sum(p * n for p, n in zip(cycle.p, effective.n))
-        + sum(q * m for q, m in zip(cycle.q, effective.m))
-    )
-    slope = int(
-        sum(p * n for p, n in zip(cycle.p, base.n))
-        + sum(q * m for q, m in zip(cycle.q, base.m))
-    )
+    const = -integer_defect(record.effective_probe, cycle)
+    slope = integer_defect(base, cycle)
     expected = const + record.c_conj * slope
     if abs(value - expected) > _MONODROMY_TOL:
         raise LatticeDefect(
@@ -279,13 +247,16 @@ def cover_monodromy(
     return value, (const, slope)
 
 
+def _raw_degree(omega: PeriodMatrix, u: np.ndarray, record: SolutionRecord) -> float:
+    """Area ratio of the two flat metrics; an integer for a genuine cover."""
+    return float(np.real(u @ omega.imag_part @ np.conj(u)) / record.c_conj.imag)
+
+
 def cover_degree(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> int:
     """Number of sheets of the torus cover: area ratio of the two flat metrics."""
-    cbar = record.c_conj
-    if cbar.imag <= 0:
+    if record.c_conj.imag <= 0:
         raise NotIntegralDegree("no torus cover for a real scale factor")
-    u = _cover_vector(base, record)
-    raw = float(np.real(u @ omega.imag_part @ np.conj(u)) / cbar.imag)
+    raw = _raw_degree(omega, _cover_vector(base, record), record)
     rounded = int(round(raw))
     if abs(raw - rounded) > _DEGREE_TOL or rounded < 1:
         raise NotIntegralDegree("degree %.12f is not a positive integer" % raw)
@@ -307,8 +278,7 @@ class CoverData:
 def cover_data(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> CoverData:
     """Assemble the covering map data over all 2h basis cycles."""
     u = _cover_vector(base, record)
-    cbar = record.c_conj
-    raw = float(np.real(u @ omega.imag_part @ np.conj(u)) / cbar.imag)
+    raw = _raw_degree(omega, u, record)
     h = omega.genus
     eye = np.eye(h, dtype=int)
     table = []

@@ -173,7 +173,7 @@ def test_c06_genus2_worked_case(worked_case):
     }
     ok = ok and len(records) == 14
     ok = ok and {(r.probe.n, r.probe.m) for r in records} == family
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
     checks = [
         abs(record.c_conj - (4 + 6j) / 13),
         abs(area(omega, base) - 3.25 * PI**2),
@@ -273,7 +273,7 @@ def test_c09_psf_identity():
 
 def test_c10_cm_witness(worked_case):
     _, omega, base = worked_case
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
     m_vec, n_vec, m_prime, n_prime = cm_witness_from_record(base, record)
     witness = cm_relation_check(omega, record.c_conj, m_vec, n_vec, m_prime, n_prime)
 

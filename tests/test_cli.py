@@ -268,6 +268,24 @@ def test_cli_rejects_non_finite_matrix(tmp_path):
         assert "status OK" not in out and "PASS" not in out
 
 
+def test_cli_rejects_overflowing_matrix(tmp_path):
+    mat = tmp_path / "big.mat"
+    mat.write_text("genus 1\n1e308+1e308i\n")
+    for argv in (
+        ["validate", str(mat)],
+        ["cm-check", str(mat), "--base", "1;0", "--probe", "2;0"],
+    ):
+        code, out = run_cli(argv)
+        assert code == 1, argv
+        assert "status OK" not in out
+
+
+def test_cli_cm_check_has_no_bound_flag(fixture_matrix_path):
+    argv = ["cm-check", str(fixture_matrix_path), "--base", "1,1;1,2", "--probe", "0,0;1,2"]
+    assert run_cli(argv)[0] == 0
+    assert run_cli(argv + ["--bound", "2"])[0] == 2
+
+
 def test_cli_usage_errors():
     code, _ = run_cli(["no-such-command"])
     assert code == 2

@@ -68,6 +68,12 @@ def test_non_finite_entries_rejected(entry):
         validate_period_matrix([[1j, 0], [0, entry]])
 
 
+def test_symmetrization_overflow_rejected():
+    # finite entries whose symmetrization (raw + raw.T) / 2 overflows to inf
+    with pytest.raises(DomainError, match="overflows"):
+        validate_period_matrix([[1e308 + 1e308j]])
+
+
 def test_random_siegel_point_properties():
     tau = random_siegel_point(1, seed=0).tau
     assert tau.imag >= 1.0

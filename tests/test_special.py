@@ -19,14 +19,12 @@ from specialperiods import (
     cover_data,
     cover_degree,
     cover_monodromy,
-    dual_eigenvalue,
     psf_check,
     psf_coefficient,
     random_siegel_point,
     search_solutions,
     solution_record,
     solve_c,
-    special_eigenvalue,
     validate_period_matrix,
 )
 
@@ -182,17 +180,17 @@ def test_search_threads_agree(worked_case):
 
 def test_eigenvalues_worked_case(worked_case):
     _, omega, base = worked_case
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
-    assert special_eigenvalue(omega, base, record) == pytest.approx(2 * PI**2, abs=1e-10)
-    assert dual_eigenvalue(omega, base, record) == pytest.approx(6.5 * PI**2, abs=1e-10)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
+    assert record.lambda_c == pytest.approx(2 * PI**2, abs=1e-10)
+    assert record.lambda_c_dual == pytest.approx(6.5 * PI**2, abs=1e-10)
     assert area(omega, base) == pytest.approx(3.25 * PI**2, abs=1e-10)
-    own = solution_record(omega, base, base, tol=1e-9, bound=2)
-    assert special_eigenvalue(omega, base, own) == pytest.approx(2 * area(omega, base))
+    own = solution_record(omega, base, base, tol=1e-9)
+    assert own.lambda_c == pytest.approx(2 * area(omega, base))
 
 
 def test_cover_monodromy_worked_case(worked_case):
     _, omega, base = worked_case
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
     value, coords = cover_monodromy(omega, base, record, CyclePair(q=(0, 0), p=(1, 0)))
     assert coords == (0, 1)
     assert value == pytest.approx(WORKED_CBAR, abs=1e-12)
@@ -216,14 +214,14 @@ def test_cover_data_all_cycles(worked_case):
 
 def test_cover_degree_examples(worked_case):
     _, omega, base = worked_case
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
     assert cover_degree(omega, base, record) == 3
     # genus one: re-marking the torus is a one-sheet cover
     omega1 = PeriodMatrix.from_tau(1j)
     base1 = LatticeCharge((0,), (1,))
-    record1 = solution_record(omega1, base1, LatticeCharge((1,), (0,)), tol=1e-9, bound=2)
+    record1 = solution_record(omega1, base1, LatticeCharge((1,), (0,)), tol=1e-9)
     assert cover_degree(omega1, base1, record1) == 1
-    collinear = solution_record(omega, base, LatticeCharge((2, 2), (2, 4)), tol=1e-9, bound=2)
+    collinear = solution_record(omega, base, LatticeCharge((2, 2), (2, 4)), tol=1e-9)
     with pytest.raises(NotIntegralDegree):
         cover_degree(omega, base, collinear)
 
@@ -237,7 +235,7 @@ def test_cm_wedge_residual_examples(worked_case):
 
 def test_cm_relation_check_examples(worked_case):
     _, omega, base = worked_case
-    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9, bound=2)
+    record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)
     m_vec, n_vec, m_prime, n_prime = cm_witness_from_record(base, record)
     assert (m_vec, n_vec) == ((1, 2), (1, 1))
     assert (m_prime, n_prime) == ((-1, -2), (0, 0))
