@@ -3,12 +3,15 @@
 All tables are whitespace-delimited text with a '#' header line and numbers
 printed to 15 significant digits, so outputs are diffable across runs and
 worker counts.  Exit codes: 0 success, 1 validation or math failure,
-2 parse or configuration error.
+2 parse or configuration error.  Each flag is declared, converted, defaulted
+and range-checked once, in ``_build_parser``; a bad flag exits 2 with
+argparse's usage message.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,40 +30,17 @@ from .matrixio import (
     parse_fraction,
     write_period_matrix,
 )
-from .siegel import PeriodMatrix
 
-_CONFIG_ERRORS = (ParseError, BadRationality)
-
-SUBCOMMANDS = (
-    "validate",
-    "torus",
-    "torus-fd",
-    "search",
-    "construct-g2",
-    "cm-check",
-    "psf-check",
-    "report",
-)
+_CONFIG_ERRORS = (ParseError, BadRationality, OSError)
 
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: subcommand, matrix path, and flag values."""
+    """Parsed invocation: subcommand, matrix path, and the parser's namespace."""
 
     subcommand: str
     matrix_path: Path | None
-    flags: dict = field(default_factory=dict)
-    tol: float = 1e-9
-    bound: int = 2
-    threads: int = 0  # 0 means: use THREADS env or machine parallelism
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ParseError("unknown subcommand %r" % self.subcommand)
-        if not self.tol > 0:
-            raise ParseError("tol must be positive")
-        if self.bound < 1:
-            raise ParseError("bound must be at least 1")
+    flags: argparse.Namespace = field(default_factory=argparse.Namespace)
 
     def resolved_threads(self) -> int:
         env = os.environ.get("THREADS")
@@ -69,9 +49,7 @@ class RunConfig:
                 return max(1, int(env))
             except ValueError:
                 raise ParseError("THREADS must be an integer, got %r" % env)
-        if self.threads > 0:
-            return self.threads
-        return os.cpu_count() or 1
+        return getattr(self.flags, "threads", None) or os.cpu_count() or 1
 
 
 def _fmt(x: float) -> str:
@@ -82,14 +60,8 @@ def _print_kv(out, key, value):
     out.write("%s %s\n" % (key, value))
 
 
-def _load_matrix(config: RunConfig) -> PeriodMatrix:
-    if config.matrix_path is None:
-        raise ParseError("this subcommand requires a matrix file")
-    return load_period_matrix(config.matrix_path)
-
-
 def _cmd_validate(config: RunConfig, out) -> int:
-    omega = _load_matrix(config)
+    omega = load_period_matrix(config.matrix_path)
     eigs = np.linalg.eigvalsh(omega.imag_part)
     _print_kv(out, "genus", omega.genus)
     _print_kv(out, "min_imag_eigenvalue", _fmt(float(eigs[0])))
@@ -99,9 +71,9 @@ def _cmd_validate(config: RunConfig, out) -> int:
 
 
 def _cmd_torus(config: RunConfig, out) -> int:
-    tau = config.flags["tau"]
+    table = torus.spectrum_table(config.flags.tau, config.flags.max)
     out.write("# n m re_c im_c lambda mu\n")
-    for entry in torus.spectrum_table(tau, config.flags["max"]):
+    for entry in table:
         out.write(
             "%d %d %s %s %s %s\n"
             % (
@@ -117,10 +89,10 @@ def _cmd_torus(config: RunConfig, out) -> int:
 
 
 def _cmd_torus_fd(config: RunConfig, out) -> int:
-    tau = config.flags["tau"]
-    resolution = config.flags["resolution"]
+    tau, resolution = config.flags.tau, config.flags.resolution
+    table = torus.spectrum_table(tau, config.flags.max)
     out.write("# n m lambda resid_N resid_2N ratio\n")
-    for entry in torus.spectrum_table(tau, config.flags["max"]):
+    for entry in table:
         n, m = entry.charge
         lam, coarse = torus.fd_eigen_residual(tau, n, m, resolution)
         _, fine = torus.fd_eigen_residual(tau, n, m, 2 * resolution)
@@ -133,13 +105,12 @@ def _cmd_torus_fd(config: RunConfig, out) -> int:
 
 
 def _cmd_search(config: RunConfig, out) -> int:
-    omega = _load_matrix(config)
-    base = parse_charge(config.flags["base"], omega.genus)
+    omega = load_period_matrix(config.matrix_path)
     records = special.search_solutions(
         omega,
-        base,
-        bound=config.bound,
-        tol=config.tol,
+        parse_charge(config.flags.base, omega.genus),
+        bound=config.flags.bound,
+        tol=config.flags.tol,
         threads=config.resolved_threads(),
     )
     out.write("# n m re_c im_c lambda_c degree classification\n")
@@ -161,17 +132,12 @@ def _cmd_search(config: RunConfig, out) -> int:
 
 
 def _cmd_construct_g2(config: RunConfig, out) -> int:
+    args = config.flags
     params = genus2.Genus2Params(
-        omega11=config.flags["omega11"],
-        omega12=config.flags["omega12"],
-        M=config.flags["M"],
-        N2=config.flags["N2"],
-        N3=config.flags["N3"],
-        N4hat=config.flags["N4"],
+        omega11=args.omega11, omega12=args.omega12, M=args.M, N2=args.N2, N3=args.N3, N4hat=args.N4
     )
     omega = genus2.build_special_genus2(params)
-    out_path = config.flags["out"]
-    write_period_matrix(out_path, omega)
+    write_period_matrix(args.out, omega)
     info_lines = [
         "omega22 %s" % format_complex(params.omega22),
         "N1 %s" % params.N1,
@@ -191,19 +157,19 @@ def _cmd_construct_g2(config: RunConfig, out) -> int:
                 )
             )
     info_text = "\n".join(info_lines) + "\n"
-    Path(str(out_path) + ".info").write_text(info_text)
-    out.write("wrote %s\n" % out_path)
+    Path(str(args.out) + ".info").write_text(info_text)
+    out.write("wrote %s\n" % args.out)
     out.write(info_text)
     return 0
 
 
 def _cmd_cm_check(config: RunConfig, out) -> int:
-    omega = _load_matrix(config)
-    base = parse_charge(config.flags["base"], omega.genus)
-    probe = parse_charge(config.flags["probe"], omega.genus)
+    omega = load_period_matrix(config.matrix_path)
+    base = parse_charge(config.flags.base, omega.genus)
+    probe = parse_charge(config.flags.probe, omega.genus)
     wedge = special.cm_wedge_residual(omega, base, probe)
     _print_kv(out, "wedge_residual", _fmt(wedge))
-    record = special.solution_record(omega, base, probe, tol=config.tol)
+    record = special.solution_record(omega, base, probe, tol=config.flags.tol)
     _print_kv(out, "classification", record.classification)
     _print_kv(out, "c", format_complex(record.c))
     _print_kv(out, "lambda_c", _fmt(record.lambda_c))
@@ -219,14 +185,14 @@ def _cmd_cm_check(config: RunConfig, out) -> int:
 
 
 def _cmd_psf_check(config: RunConfig, out) -> int:
-    omega = _load_matrix(config)
-    base = parse_charge(config.flags["base"], omega.genus)
-    probe = parse_charge(config.flags["probe"], omega.genus)
-    index = config.flags["index"] - 1  # CLI is 1-based
-    if not 0 <= index < omega.genus:
+    omega = load_period_matrix(config.matrix_path)
+    base = parse_charge(config.flags.base, omega.genus)
+    probe = parse_charge(config.flags.probe, omega.genus)
+    index = config.flags.index - 1  # CLI is 1-based
+    if index >= omega.genus:
         raise ParseError("--index must be between 1 and %d" % omega.genus)
     lhs, rhs, residual = special.psf_check(
-        omega, base, probe, j=index, trunc=config.flags["trunc"]
+        omega, base, probe, j=index, trunc=config.flags.trunc
     )
     d_base = special.psf_coefficient(omega, base)[index]
     d_probe = special.psf_coefficient(omega, probe)[index]
@@ -240,17 +206,10 @@ def _cmd_psf_check(config: RunConfig, out) -> int:
 
 
 def _cmd_report(config: RunConfig, out) -> int:
-    if config.flags["trials"] < 1:
-        raise ParseError("--trials must be at least 1")
-    if config.flags["charge_bound"] < 0:
-        raise ParseError("--charge-bound must be nonnegative")
-    omega = _load_matrix(config)
+    args = config.flags
+    omega = load_period_matrix(config.matrix_path)
     results = report.run_identity_suite(
-        omega,
-        trials=config.flags["trials"],
-        seed=config.flags["seed"],
-        charge_bound=config.flags["charge_bound"],
-        tol=config.tol,
+        omega, trials=args.trials, seed=args.seed, charge_bound=args.charge_bound, tol=args.tol
     )
     out.write("# identity max_residual tol status\n")
     all_passed = True
@@ -260,7 +219,7 @@ def _cmd_report(config: RunConfig, out) -> int:
         out.write(
             "%s %s %s %s\n" % (result.name, _fmt(result.max_residual), _fmt(result.tol), status)
         )
-    minimum, at_zero = report.positivity_sweep(omega, bound=min(config.bound, 3))
+    minimum, at_zero = report.positivity_sweep(omega, bound=min(args.bound, 3))
     positive = minimum > 0 and at_zero == 0.0
     all_passed = all_passed and positive
     out.write(
@@ -283,7 +242,11 @@ _DISPATCH = {
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
+    """Dispatch one parsed invocation; returns the process exit code.
+
+    Configuration errors, unreadable input and unwritable output exit 2;
+    validation and math errors exit 1.
+    """
     out = out if out is not None else sys.stdout
     try:
         return _DISPATCH[config.subcommand](config, out)
@@ -293,6 +256,30 @@ def run(config: RunConfig, out=None) -> int:
     except SpecialPeriodsError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
+
+
+def _checked(parse, expected: str, accept=lambda value: True):
+    """An argparse type: ``parse`` the text, then require ``accept(value)``."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except (ValueError, ParseError):
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return value
+
+    return convert
+
+
+def _int_at_least(low: int):
+    return _checked(int, "an integer >= %d" % low, lambda value: value >= low)
+
+
+_COMPLEX = _checked(parse_complex, "a complex literal a+bi")
+_FRACTION = _checked(parse_fraction, "a rational p or p/q")
+_TOL = _checked(float, "a positive finite number", lambda value: 0 < value < math.inf)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,33 +293,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("matrix", type=Path, help="matrix file ('genus h' header)")
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_TOL, default=1e-9)
 
     p = sub.add_parser("validate", help="validate a matrix file")
     add_matrix(p)
 
     p = sub.add_parser("torus", help="genus-one spectrum table")
-    p.add_argument("--tau", required=True, help="modulus as a+bi")
-    p.add_argument("--max", type=int, default=2, help="charge box half-width")
+    p.add_argument("--tau", required=True, type=_COMPLEX, help="modulus as a+bi")
+    p.add_argument("--max", type=_int_at_least(0), default=2, help="charge box half-width")
 
     p = sub.add_parser("torus-fd", help="finite-difference eigen residuals")
-    p.add_argument("--tau", required=True, help="modulus as a+bi")
-    p.add_argument("--max", type=int, default=1)
-    p.add_argument("--resolution", type=int, default=64)
+    p.add_argument("--tau", required=True, type=_COMPLEX, help="modulus as a+bi")
+    p.add_argument("--max", type=_int_at_least(0), default=1)
+    p.add_argument(
+        "--resolution", type=_int_at_least(torus.FD_MIN_RESOLUTION), default=64
+    )
 
     p = sub.add_parser("search", help="box search for proportional charges")
     add_matrix(p)
     p.add_argument("--base", required=True, help="base charge 'n1,..;m1,..'")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--bound", type=_int_at_least(1), default=2)
+    p.add_argument("--threads", type=_int_at_least(0), default=0, help="0: all CPUs")
     add_common(p)
 
     p = sub.add_parser("construct-g2", help="build a tied genus-2 matrix file")
-    p.add_argument("--omega11", required=True)
-    p.add_argument("--omega12", required=True)
-    p.add_argument("--M", required=True)
-    p.add_argument("--N2", required=True)
-    p.add_argument("--N3", required=True)
+    p.add_argument("--omega11", required=True, type=_COMPLEX)
+    p.add_argument("--omega12", required=True, type=_COMPLEX)
+    p.add_argument("--M", required=True, type=_FRACTION)
+    p.add_argument("--N2", required=True, type=_FRACTION)
+    p.add_argument("--N3", required=True, type=_FRACTION)
     p.add_argument("--N4", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
 
@@ -346,56 +335,27 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix(p)
     p.add_argument("--base", required=True)
     p.add_argument("--probe", required=True)
-    p.add_argument("--index", type=int, default=1, help="component (1-based)")
-    p.add_argument("--trunc", type=int, default=30)
+    p.add_argument("--index", type=_int_at_least(1), default=1, help="component (1-based)")
+    p.add_argument("--trunc", type=_int_at_least(0), default=30)
 
     p = sub.add_parser("report", help="run the identity suite on a matrix")
     add_matrix(p)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--charge-bound", type=int, default=5, dest="charge_bound")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--charge-bound", type=_int_at_least(0), default=5, dest="charge_bound")
+    p.add_argument("--bound", type=_int_at_least(1), default=3)
     add_common(p)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = dict(vars(args))
-    sub = flags.pop("subcommand")
-    matrix_path = flags.pop("matrix", None)
-    tol = flags.pop("tol", 1e-9)
-    bound = flags.pop("bound", 2)
-    threads = flags.pop("threads", 0)
-    for key in ("tau", "omega11", "omega12"):
-        if key in flags and flags[key] is not None:
-            flags[key] = parse_complex(flags[key])
-    for key in ("M", "N2", "N3"):
-        if key in flags and flags[key] is not None:
-            flags[key] = parse_fraction(flags[key])
-    return RunConfig(
-        subcommand=sub,
-        matrix_path=matrix_path,
-        flags=flags,
-        tol=tol,
-        bound=bound,
-        threads=threads,
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 for --help
         return int(exc.code or 0)
-    try:
-        config = _config_from_args(args)
-    except _CONFIG_ERRORS as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    return run(config)
+    return run(RunConfig(args.subcommand, getattr(args, "matrix", None), args))
 
 
 if __name__ == "__main__":

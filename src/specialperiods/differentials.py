@@ -14,8 +14,6 @@ import numpy as np
 
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
-PI = np.pi
-
 
 def lattice_image(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     """Complex image m - Omega n of an integer charge."""
@@ -52,8 +50,8 @@ def primitive_coeffs(omega: PeriodMatrix, charge: LatticeCharge) -> Differential
     Im c_k = pi * n_k holds exactly, not merely to rounding.
     """
     n, m = charge.n_vec, charge.m_vec
-    real = PI * (omega.imag_inverse @ (m - omega.real_part @ n))
-    c = real + 1j * (PI * n)
+    real = np.pi * (omega.imag_inverse @ (m - omega.real_part @ n))
+    c = real + 1j * (np.pi * n)
     return DifferentialCoeffs(c=c, charge=charge)
 
 
@@ -92,8 +90,8 @@ class EtaBasis:
 
 def eta_bases(omega: PeriodMatrix) -> EtaBasis:
     h = omega.genus
-    eta1 = PI * omega.imag_inverse.astype(complex)
-    eta2 = PI * (1j * np.eye(h) - omega.real_part @ omega.imag_inverse)
+    eta1 = np.pi * omega.imag_inverse.astype(complex)
+    eta2 = np.pi * (1j * np.eye(h) - omega.real_part @ omega.imag_inverse)
     return EtaBasis(eta1=eta1, eta2=eta2)
 
 
@@ -125,7 +123,7 @@ def eta_period_residual(omega: PeriodMatrix) -> float:
     worst case is an array maximum, so a NaN period yields NaN.
     """
     basis = eta_bases(omega)
-    pi_eye = PI * np.eye(omega.genus)
+    pi_eye = np.pi * np.eye(omega.genus)
     defects = (
         basis.eta1.imag,
         (basis.eta1 @ omega.entries).imag - pi_eye,
@@ -138,5 +136,5 @@ def eta_period_residual(omega: PeriodMatrix) -> float:
 def d_matrix_contraction_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:
     """Residual of c_k = pi * sum_{j,l} D_jl (Im Omega)^{-1}_{lk}."""
     d = d_matrix(omega, charge).entries
-    contracted = PI * (d.sum(axis=0) @ omega.imag_inverse)
+    contracted = np.pi * (d.sum(axis=0) @ omega.imag_inverse)
     return float(np.max(np.abs(contracted - primitive_coeffs(omega, charge).c)))

@@ -18,7 +18,6 @@ from .differentials import lattice_image, period_of, primitive_coeffs
 from .errors import DegenerateCharge, SnapError
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
-PI = np.pi
 _SNAP_TOL = 1e-8
 
 
@@ -41,7 +40,7 @@ def herm_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> compl
     """Period of the primitive differential of charge (n, m) over p.alpha + q.beta."""
     w = qp.p_vec + omega.entries @ qp.q_vec
     v_conj = nm.m_vec - omega.entries.conj() @ nm.n_vec
-    return complex(PI * (w @ omega.imag_inverse @ v_conj))
+    return complex(np.pi * (w @ omega.imag_inverse @ v_conj))
 
 
 def real_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float:
@@ -49,7 +48,7 @@ def real_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float
     o1, o2 = omega.real_part, omega.imag_part
     left = qp.p_vec - o1 @ qp.q_vec
     right = nm.m_vec - o1 @ nm.n_vec
-    return float(PI * (left @ omega.imag_inverse @ right + qp.q_vec @ o2 @ nm.n_vec))
+    return float(np.pi * (left @ omega.imag_inverse @ right + qp.q_vec @ o2 @ nm.n_vec))
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ def monodromy_factor(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> f
     the nearest multiple before exponentiation so the result is exactly real.
     """
     exponent = herm_product(omega, nm, qp)
-    k = round(exponent.imag / PI)
-    if abs(exponent.imag - k * PI) > _SNAP_TOL:
+    k = round(exponent.imag / np.pi)
+    if abs(exponent.imag - k * np.pi) > _SNAP_TOL:
         raise SnapError(
             "exponent imaginary part %.6e is not a multiple of pi" % exponent.imag
         )
@@ -103,7 +102,7 @@ def area(omega: PeriodMatrix, nm: LatticeCharge) -> float:
     if nm.is_zero:
         raise DegenerateCharge("the zero charge has no metric")
     v = lattice_image(omega, nm)
-    value = PI * PI / 2 * np.real(v @ omega.imag_inverse @ np.conj(v))
+    value = np.pi * np.pi / 2 * np.real(v @ omega.imag_inverse @ np.conj(v))
     return float(value)
 
 
@@ -127,7 +126,7 @@ def canonical_duality_tensors(omega: PeriodMatrix) -> DualityTensors:
     """The canonical choice: E = pi (Im Omega)^{-1}, F = 0, G = pi * I."""
     h = omega.genus
     return DualityTensors(
-        E=PI * omega.imag_inverse.copy(), F=np.zeros((h, h)), G=PI * np.eye(h)
+        E=np.pi * omega.imag_inverse.copy(), F=np.zeros((h, h)), G=np.pi * np.eye(h)
     )
 
 
@@ -164,13 +163,13 @@ def herm_period_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
 
 def imag_integrality_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     """Distance of the product's imaginary part from pi times the integer pairing."""
-    return abs(herm_product(omega, nm, qp).imag - PI * integer_defect(nm, qp))
+    return abs(herm_product(omega, nm, qp).imag - np.pi * integer_defect(nm, qp))
 
 
 def conjugation_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     """Conjugating the product shifts it by -2 i pi times the integer pairing."""
     value = herm_product(omega, nm, qp)
-    shifted = value - 2j * PI * integer_defect(nm, qp)
+    shifted = value - 2j * np.pi * integer_defect(nm, qp)
     swapped = herm_product(
         omega, LatticeCharge(tuple(-q for q in qp.q), qp.p), CyclePair(tuple(-n for n in nm.n), nm.m)
     )
@@ -190,7 +189,7 @@ def factorization_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
         total += herm_product(omega, nm, alpha_j) * herm_product(
             omega, LatticeCharge(ej, zero), qp
         )
-    return abs(herm_product(omega, nm, qp) - total / (2j * PI))
+    return abs(herm_product(omega, nm, qp) - total / (2j * np.pi))
 
 
 def real_symmetry_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
@@ -203,9 +202,7 @@ def real_symmetry_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
 def herm_real_link_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     """Real product as the Hermitian product over the reflected cycle."""
     reflected = CyclePair(tuple(-q for q in qp.q), qp.p)
-    pn = sum(p * n for p, n in zip(qp.p, nm.n))
-    qm = sum(q * m for q, m in zip(qp.q, nm.m))
-    expected = herm_product(omega, nm, reflected) - 1j * PI * (pn - qm)
+    expected = herm_product(omega, nm, reflected) - 1j * np.pi * integer_defect(nm, reflected)
     return abs(real_product(omega, nm, qp) - expected)
 
 
@@ -220,7 +217,7 @@ def coeff_form_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     ca = primitive_coeffs(omega, nm).c
     cb = primitive_coeffs(omega, LatticeCharge(qp.q, qp.p)).c
     o2 = omega.imag_part
-    value = (ca.real @ o2 @ cb.real + cb.imag @ o2 @ ca.imag) / PI
+    value = (ca.real @ o2 @ cb.real + cb.imag @ o2 @ ca.imag) / np.pi
     return abs(real_product(omega, nm, qp) - value)
 
 
@@ -228,15 +225,14 @@ def wedge_herm_residual(omega, nm: LatticeCharge, qp: LatticeCharge) -> float:
     """(i/2) times the wedge integral equals pi times a reflected Hermitian product."""
     reflected = CyclePair(tuple(-q for q in qp.n), qp.m)
     lhs = 0.5j * wedge_integral(omega, nm, qp)
-    return abs(lhs - PI * herm_product(omega, nm, reflected))
+    return abs(lhs - np.pi * herm_product(omega, nm, reflected))
 
 
 def wedge_swap_residual(omega, nm: LatticeCharge, qp: LatticeCharge) -> float:
     """Swapping the wedge factors costs 4 pi^2 times the integer pairing."""
-    pn = sum(p * n for p, n in zip(qp.m, nm.n))
-    qm = sum(q * m for q, m in zip(qp.n, nm.m))
+    defect = integer_defect(nm, CyclePair(tuple(-q for q in qp.n), qp.m))
     lhs = wedge_integral(omega, nm, qp)
-    rhs = wedge_integral(omega, qp, nm) + 4 * PI * PI * (pn - qm)
+    rhs = wedge_integral(omega, qp, nm) + 4 * np.pi * np.pi * defect
     return abs(lhs - rhs)
 
 
@@ -265,13 +261,13 @@ def winding_area_residual(omega, nm: LatticeCharge) -> float:
     """
     cycle = CyclePair(nm.n, tuple(-m for m in nm.m))
     exponent = herm_product(omega, nm, cycle)
-    target = -2.0 / PI * area(omega, nm)
+    target = -2.0 / np.pi * area(omega, nm)
     return max(abs(exponent.real - target), abs(exponent.imag))
 
 
 def area_real_product_residual(omega, nm: LatticeCharge) -> float:
     """Area against pi/2 times the self real product."""
-    return abs(area(omega, nm) - PI / 2 * real_product(omega, nm, CyclePair(nm.n, nm.m)))
+    return abs(area(omega, nm) - np.pi / 2 * real_product(omega, nm, CyclePair(nm.n, nm.m)))
 
 
 def duality_canonical_residual(omega, nm: LatticeCharge) -> float:

@@ -233,11 +233,17 @@ class ModularMatrix:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
+def checked_modulus(tau: complex) -> complex:
+    """``tau`` as a complex number; DomainError unless finite with Im tau > 0."""
+    tau = complex(tau)
+    if not (np.isfinite(tau) and tau.imag > 0):
+        raise DomainError("modulus must be finite with positive imaginary part, got %r" % tau)
+    return tau
+
+
 def modular_transform_tau(gamma: ModularMatrix, tau: complex) -> complex:
     """Moebius action (a tau + b) / (c tau + d) on the upper half plane."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("modulus must have positive imaginary part")
+    tau = checked_modulus(tau)
     denom = gamma.c * tau + gamma.d
     if denom == 0:
         raise DomainError("c tau + d vanished")

@@ -32,8 +32,6 @@ from .errors import (
 from .pairings import area, integer_defect
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix, charge_box
 
-PI = np.pi
-
 COLLINEAR_RATIONAL = "collinear-rational"
 SPECIAL_COMPLEX = "special-complex"
 DEGENERATE = "degenerate"
@@ -149,7 +147,8 @@ def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     base_area = area(omega, base)
     lambda_c = 2.0 * base_area * abs(c) ** 2
     probe_area = area(omega, probe)
-    lambda_dual = 4.0 * base_area * probe_area / lambda_c
+    # lambda_c is 0 only when c is (a degenerate record); 4 A A' / lambda_c -> inf
+    lambda_dual = 4.0 * base_area * probe_area / lambda_c if lambda_c else np.inf
     record = SolutionRecord(
         probe=probe,
         c=c,
@@ -338,7 +337,7 @@ def psf_coefficient(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
 
 def _theta_sum(x: complex, trunc: int) -> complex:
     ks = np.arange(-trunc, trunc + 1)
-    return complex(np.sum(np.exp(-(ks.astype(float) ** 2) * PI * x)))
+    return complex(np.sum(np.exp(-(ks.astype(float) ** 2) * np.pi * x)))
 
 
 def psf_check(

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .siegel import LatticeCharge, ModularMatrix, modular_transform_charge, modular_transform_tau
+from .siegel import (
+    LatticeCharge, ModularMatrix, checked_modulus, modular_transform_charge, modular_transform_tau
+)
 
-PI = np.pi
 DEFAULT_ETA_TERMS = 64
+FD_MIN_RESOLUTION = 16
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,8 @@ class TorusSpectrumEntry:
 
 def torus_eigenvalue(tau: complex, n: int, m: int) -> TorusSpectrumEntry:
     """Eigenvalue 2 |c|^2 with c = pi (m - n conj(tau)) / Im(tau)."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("modulus must have positive imaginary part")
-    c = PI * (m - n * np.conj(tau)) / tau.imag
+    tau = checked_modulus(tau)
+    c = np.pi * (m - n * np.conj(tau)) / tau.imag
     lam = 2.0 * abs(c) ** 2
     return TorusSpectrumEntry(charge=(int(n), int(m)), c=complex(c), lam=float(lam), mu=float(tau.imag * lam), tau=tau)
 
@@ -68,12 +67,10 @@ class GridField:
 
 def sample_eigenfunction(tau: complex, n: int, m: int, N: int) -> GridField:
     """Sample exp(c z - conj(c z)) on the N x N flat-coordinate grid."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("modulus must have positive imaginary part")
     if N < 8:
         raise ValueError("grid resolution must be at least 8")
-    c = torus_eigenvalue(tau, n, m).c
+    entry = torus_eigenvalue(tau, n, m)
+    tau, c = entry.tau, entry.c
     coords = np.arange(N) / N
     z = coords[:, None] + tau * coords[None, :]
     samples = np.exp(2j * np.imag(c * z))
@@ -133,10 +130,10 @@ def fd_eigen_residual(tau: complex, n: int, m: int, N: int):
     residual decays like N^-2.  The zero charge is annihilated exactly and
     reports residual zero.
     """
-    tau = complex(tau)
-    if N < 16:
-        raise ValueError("grid resolution must be at least 16")
+    if N < FD_MIN_RESOLUTION:
+        raise ValueError("grid resolution must be at least %d" % FD_MIN_RESOLUTION)
     entry = torus_eigenvalue(tau, n, m)
+    tau = entry.tau
     if n == 0 and m == 0:
         return 0.0, 0.0
     field = sample_eigenfunction(tau, n, m, N)
@@ -148,13 +145,11 @@ def fd_eigen_residual(tau: complex, n: int, m: int, N: int):
 
 def dedekind_eta(tau: complex, terms: int = DEFAULT_ETA_TERMS) -> complex:
     """Truncated product q^{1/24} prod_{k<=terms} (1 - q^k), q = exp(2 pi i tau)."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("modulus must have positive imaginary part")
+    tau = checked_modulus(tau)
     if terms < 1:
         raise ValueError("need at least one product term")
-    q = np.exp(2j * PI * tau)
-    value = np.exp(2j * PI * tau / 24)
+    q = np.exp(2j * np.pi * tau)
+    value = np.exp(2j * np.pi * tau / 24)
     power = 1.0 + 0j
     for _ in range(terms):
         power *= q

@@ -291,3 +291,59 @@ def test_cli_usage_errors():
     assert code == 2
     code, _ = run_cli(["search", "/nonexistent/path.mat", "--base", "1;1"])
     assert code == 2
+
+
+_WORKED = ["--base", "1,1;1,2"]
+_G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--N4", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "MATRIX", *_WORKED, "--bound", "0"],
+        ["search", "MATRIX", *_WORKED, "--tol", "0"],
+        ["search", "MATRIX", *_WORKED, "--tol", "inf"],
+        ["cm-check", "MATRIX", *_WORKED, "--probe", "0,0;1,2", "--tol", "nan"],
+        ["torus", "--tau", "0+1i", "--max", "-1"],
+        ["torus-fd", "--tau", "0+1i", "--resolution", "8"],
+        ["psf-check", "MATRIX", *_WORKED, "--probe", "0,0;1,2", "--trunc", "-1"],
+        ["psf-check", "MATRIX", *_WORKED, "--probe", "0,0;1,2", "--index", "0"],
+        ["report", "MATRIX", "--trials", "0"],
+        ["report", "MATRIX", "--charge-bound", "-1"],
+        ["report", "MATRIX", "--seed", "-1"],
+        ["search", "MATRIX", *_WORKED, "--threads", "-1"],
+        ["torus", "--tau", "1+i2"],
+        ["construct-g2", *_G2, "--M", "1/0", "--out", "OUT"],
+        ["construct-g2", *_G2, "--M", "1", "--out", "MISSING/g2.mat"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_bad_flags_exit_2(argv, fixture_matrix_path, tmp_path, capsys):
+    paths = {
+        "MATRIX": str(fixture_matrix_path),
+        "OUT": str(tmp_path / "g2.mat"),
+        "MISSING/g2.mat": str(tmp_path / "missing" / "g2.mat"),
+    }
+    code, out = run_cli([paths.get(arg, arg) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_cli_degenerate_records(fixture_matrix_path):
+    base = ["--base", "5,5;5,10", "--tol", "0.3"]
+    code, out = run_cli(["cm-check", str(fixture_matrix_path), *base, "--probe", "0,0;1,0"])
+    assert code == 0
+    assert "classification degenerate" in out
+    assert "lambda_dual inf" in out
+    code, out = run_cli(["search", str(fixture_matrix_path), *base, "--bound", "1"])
+    assert code == 0
+    assert "degenerate" in out
+
+
+def test_cli_rejects_non_finite_tau(capsys):
+    code, out = run_cli(["torus", "--tau", "0+1e999i", "--max", "1"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error:")

@@ -163,3 +163,16 @@ def test_spectrum_table_ordering():
     assert entries[0].charge == (0, 0) and entries[0].lam == 0
     keys = [(e.charge[0] ** 2 + e.charge[1] ** 2, e.charge[0], e.charge[1]) for e in entries]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("tau", [complex(0, math.inf), complex(math.nan, 1), complex(math.inf, 1), -1j, 0j])
+def test_modulus_must_be_finite_in_upper_half_plane(tau):
+    for call in (
+        lambda: torus_eigenvalue(tau, 1, 0),
+        lambda: sample_eigenfunction(tau, 1, 0, 16),
+        lambda: fd_eigen_residual(tau, 0, 0, 16),
+        lambda: dedekind_eta(tau),
+        lambda: modular_transform_tau(ModularMatrix.identity(), tau),
+    ):
+        with pytest.raises(DomainError, match="finite with positive imaginary part"):
+            call()
