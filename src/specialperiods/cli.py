@@ -43,13 +43,17 @@ class RunConfig:
     flags: argparse.Namespace = field(default_factory=argparse.Namespace)
 
     def resolved_threads(self) -> int:
+        """A nonzero ``--threads``, else ``THREADS``, else the CPU count."""
+        flag = getattr(self.flags, "threads", None)
+        if flag:
+            return flag
         env = os.environ.get("THREADS")
         if env is not None:
             try:
                 return max(1, int(env))
             except ValueError:
                 raise ParseError("THREADS must be an integer, got %r" % env)
-        return getattr(self.flags, "threads", None) or os.cpu_count() or 1
+        return os.cpu_count() or 1
 
 
 def _fmt(x: float) -> str:

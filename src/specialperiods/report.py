@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import differentials, pairings
-from .siegel import PeriodMatrix, charge_box
+from .siegel import PeriodMatrix, box_block, box_blocks
 
 
 @dataclass(frozen=True)
@@ -191,20 +191,26 @@ def run_identity_suite(
 def positivity_sweep(omega: PeriodMatrix, bound: int):
     """Self real product over the full charge box.
 
-    Returns (minimum over nonzero charges, value at zero).  Vectorized so the
-    full box is affordable up to genus 3 and bound 3.
+    Returns (minimum over nonzero charges, value at zero).  Streamed one
+    block of the box at a time, so memory does not grow with the bound.
     """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     h = omega.genus
-    flat = charge_box(2 * h, bound)
-    n_part = flat[:, :h].astype(float)
-    m_part = flat[:, h:].astype(float)
     o1, o2 = omega.real_part, omega.imag_part
-    left = m_part - n_part @ o1
-    values = np.pi * (
-        np.einsum("ij,jk,ik->i", left, omega.imag_inverse, left)
-        + np.einsum("ij,jk,ik->i", n_part, o2, n_part)
-    )
-    zero_row = int(np.nonzero(~np.any(flat, axis=1))[0][0])
-    at_zero = float(values[zero_row])
-    values = np.delete(values, zero_row)
-    return float(values.min()), at_zero
+    prefixes, tail = box_blocks(2 * h, bound)
+    minimum = np.inf
+    for prefix in prefixes:
+        rows, zero = box_block(prefix, tail)
+        n_part = rows[:, :h].astype(float)
+        m_part = rows[:, h:].astype(float)
+        left = m_part - n_part @ o1
+        values = np.pi * (
+            np.einsum("ij,jk,ik->i", left, omega.imag_inverse, left)
+            + np.einsum("ij,jk,ik->i", n_part, o2, n_part)
+        )
+        if zero is not None:
+            at_zero = float(values[zero])
+            values = np.delete(values, zero)
+        minimum = np.minimum(minimum, values.min())
+    return float(minimum), at_zero

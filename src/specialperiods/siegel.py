@@ -8,6 +8,7 @@ homology classes p.alpha + q.beta.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,14 @@ from .errors import AsymmetryError, DomainError, NotPositiveDefinite
 
 DEFAULT_SYMMETRY_TOL = 1e-10
 _INVERSE_TOL = 1e-12
+# Rows per block of the streamed charge box: scan memory is bounded by this,
+# whatever the bound.
+BLOCK_ROWS = 1 << 14
 
 
 def _int_tuple(values) -> tuple:
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
     arr = np.asarray(values)
     out = tuple(int(x) for x in arr.ravel())
     if np.any(np.asarray(out, dtype=float) != np.asarray(arr, dtype=float).ravel()):
@@ -108,10 +114,40 @@ def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatr
 
 
 def charge_box(dim: int, bound: int) -> np.ndarray:
-    """All integer points of [-bound, bound]^dim in lexicographic order."""
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([side] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    """All integer points of [-bound, bound]^dim in lexicographic order.
+
+    ``dim`` 0 gives the one empty row.  The zero row is the middle row.
+    """
+    width = 2 * bound + 1
+    return np.indices((width,) * dim, dtype=np.int64).reshape(dim, width**dim).T - bound
+
+
+def box_blocks(dim: int, bound: int):
+    """The box [-bound, bound]^dim as blocks of at most BLOCK_ROWS rows.
+
+    Returns ``(prefixes, tail)``: an iterator over the leading ``dim - k``
+    coordinates in lexicographic order and ``tail = charge_box(k, bound)``,
+    with k the largest value such that ``(2 bound + 1)^k <= BLOCK_ROWS``, and
+    at least 1.  Concatenating ``box_block(prefix, tail)`` over the prefixes
+    gives ``charge_box(dim, bound)`` one block at a time.
+    """
+    width = 2 * bound + 1
+    k = 1
+    while k < dim and width ** (k + 1) <= BLOCK_ROWS:
+        k += 1
+    prefixes = itertools.product(range(-bound, bound + 1), repeat=dim - k)
+    return prefixes, charge_box(k, bound)
+
+
+def box_block(prefix: tuple, tail: np.ndarray):
+    """The rows ``prefix + t`` for every tail row t, and the index of the zero row.
+
+    The index is None unless the prefix is zero; then it is the middle row.
+    """
+    rows = np.empty((len(tail), len(prefix) + tail.shape[1]), dtype=np.int64)
+    rows[:, : len(prefix)] = prefix
+    rows[:, len(prefix) :] = tail
+    return rows, None if any(prefix) else len(tail) // 2
 
 
 def random_siegel_point(h: int, seed: int) -> PeriodMatrix:

@@ -30,7 +30,7 @@ from .errors import (
     NotIntegralDegree,
 )
 from .pairings import area, integer_defect
-from .siegel import CyclePair, LatticeCharge, PeriodMatrix, charge_box
+from .siegel import CyclePair, LatticeCharge, PeriodMatrix, box_block, box_blocks
 
 COLLINEAR_RATIONAL = "collinear-rational"
 SPECIAL_COMPLEX = "special-complex"
@@ -191,28 +191,35 @@ def search_solutions(
 ) -> list:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
-    Records are returned sorted lexicographically by (n', m'); the output is
-    identical for every worker count.
+    The box is scanned one block of at most ``siegel.BLOCK_ROWS`` rows at a
+    time, and with ``threads > 1`` each worker builds its own blocks, so
+    memory does not grow with the bound.  Records are returned sorted
+    lexicographically by (n', m'), the order of the blocks and of the rows
+    within each; the output is identical for every worker count.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     v = base_image(omega, base)
     h = omega.genus
-    rows = charge_box(2 * h, bound)
-    rows = rows[np.any(rows != 0, axis=1)]
+    prefixes, tail = box_blocks(2 * h, bound)
+
+    def scan(prefix):
+        rows, zero = box_block(prefix, tail)
+        if zero is not None:
+            rows = np.delete(rows, zero, axis=0)
+        return _accepted(omega, v, rows, tol)
+
     threads = max(1, int(threads))
-    if threads == 1 or len(rows) < 2 * threads:
-        accepted = _accepted(omega, v, rows, tol)
+    if threads == 1:
+        parts = map(scan, prefixes)
     else:
-        chunks = np.array_split(rows, threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda chunk: _accepted(omega, v, chunk, tol), chunks))
-        accepted = [item for part in parts for item in part]
-    accepted.sort(key=lambda item: item[0])
+            parts = list(pool.map(scan, prefixes))
     records = []
-    for flat, cbar in accepted:
-        probe = LatticeCharge(flat[:h], flat[h:])
-        records.append(_record(omega, base, probe, cbar, tol))
+    for part in parts:
+        for flat, cbar in part:
+            probe = LatticeCharge(flat[:h], flat[h:])
+            records.append(_record(omega, base, probe, cbar, tol))
     return records
 
 

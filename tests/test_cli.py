@@ -1,9 +1,13 @@
+import argparse
+import os
+
 import numpy as np
 import pytest
 
 from conftest import run_cli
 
 from specialperiods import ParseError
+from specialperiods.cli import RunConfig
 from specialperiods.matrixio import (
     format_complex,
     format_matrix,
@@ -146,6 +150,17 @@ def test_cli_threads_env_override(fixture_matrix_path, monkeypatch):
         ["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"]
     )
     assert code == 2
+
+
+def test_threads_flag_beats_environment(monkeypatch):
+    monkeypatch.setenv("THREADS", "3")
+    assert RunConfig("search", None, argparse.Namespace(threads=5)).resolved_threads() == 5
+    assert RunConfig("search", None, argparse.Namespace(threads=0)).resolved_threads() == 3
+    assert RunConfig("search", None).resolved_threads() == 3
+    monkeypatch.setenv("THREADS", "not-a-number")
+    assert RunConfig("search", None, argparse.Namespace(threads=2)).resolved_threads() == 2
+    monkeypatch.delenv("THREADS")
+    assert RunConfig("search", None).resolved_threads() == (os.cpu_count() or 1)
 
 
 def test_cli_construct_g2_round_trip(tmp_path, worked_case):

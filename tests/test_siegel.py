@@ -145,3 +145,30 @@ def test_lattice_charge_basics():
         LatticeCharge((0.5,), (1,))
     with pytest.raises(ValueError):
         LatticeCharge((1, 2), (3,))
+
+
+@pytest.mark.parametrize(
+    "values,expected",
+    [
+        ((1, -2, 0), (1, -2, 0)),
+        ([1, -2], (1, -2)),
+        ((True, False), (1, 0)),
+        ((np.int64(3), 2), (3, 2)),
+        ((2.0, -1), (2, -1)),
+        (np.array([4, 5]), (4, 5)),
+        (((1, 2), (3, 4)), (1, 2, 3, 4)),
+        ((), ()),
+    ],
+)
+def test_int_tuple_conversions(values, expected):
+    charge = LatticeCharge(values, values)
+    for out in (charge.n, charge.m):
+        assert out == expected
+        assert type(out) is tuple
+        assert all(type(x) is int for x in out)
+
+
+@pytest.mark.parametrize("values", [(1.5,), (1, 0.5), [2, 1e-9], (np.float64(0.25),), (True, 1.5)])
+def test_int_tuple_rejects_non_integers(values):
+    with pytest.raises(ValueError, match="exact integers"):
+        LatticeCharge(values, values)
