@@ -16,6 +16,8 @@ record builder ``_record``.
 
 from __future__ import annotations
 
+import cmath
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,6 +27,7 @@ from .differentials import d_matrix, lattice_image
 from .errors import (
     ConvergenceDomain,
     DegenerateBase,
+    DomainError,
     LatticeDefect,
     NotASolution,
     NotIntegralDegree,
@@ -149,6 +152,15 @@ def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     probe_area = area(omega, probe)
     # lambda_c is 0 only when c is (a degenerate record); 4 A A' / lambda_c -> inf
     lambda_dual = 4.0 * base_area * probe_area / lambda_c if lambda_c else np.inf
+    if not (
+        cmath.isfinite(c)
+        and math.isfinite(lambda_c)
+        and (math.isfinite(lambda_dual) or classification == DEGENERATE)
+    ):
+        raise DomainError(
+            "the record of probe %s;%s is not finite (c %r, lambda_c %r, lambda_dual %r)"
+            % (",".join(map(str, probe.n)), ",".join(map(str, probe.m)), c, lambda_c, lambda_dual)
+        )
     record = SolutionRecord(
         probe=probe,
         c=c,
@@ -182,6 +194,68 @@ def solution_record(
     return _record(omega, base, probe, _accept_probe(omega, base, probe, tol), tol)
 
 
+def _block_screen(omega, v, bound: int, tol: float, tail: np.ndarray):
+    """Predicate on box prefixes that is False only for blocks the kernel rejects whole.
+
+    The kernel accepts a row x when every component of its defect
+    D(x) = image(x) - (image_a(x) / v_a) v, with a = argmax |v|, is at most
+    tol max|v|.  D is real-linear in x, so with ``lin`` the defects of the 2h
+    unit charges, D(prefix + t) = prefix @ lin[:split] + t @ lin[split:].  The
+    tail rows are sorted once by the real part of that second term in one
+    non-anchor column j0; for each prefix a binary search gives the tail rows
+    whose |Re D_j0| can be within ``limit``, and the block may hold a record
+    only if one of them has every |D_j| within ``limit``.  Returns None when
+    nothing may be skipped: at genus one, where j0 does not exist, and when a
+    magnitude in the bound below is not finite.
+    """
+    h = omega.genus
+    if h == 1:
+        return None
+    anchor = int(np.argmax(np.abs(v)))
+    j0 = (anchor + 1) % h
+    # images of the unit charges: the rows of -Omega for n, of the identity for m
+    units = np.concatenate([-omega.entries, np.eye(h)])
+    lin = units - (units[:, anchor] / v[anchor])[:, None] * v[None, :]
+    # Rounding.  With mag = sum_i max_j |image_j(e_i)| and |x_i| <= bound, every
+    # image, cbar v_j and defect the kernel or this screen computes is at most
+    # 2 bound mag in modulus (|v_j / v_a| <= 1), and each is a sum of at most
+    # 2h + 2 rounded terms.  So, to first order in eps and counting the complex
+    # products and the division (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 3.1 and 3.6), the kernel's max_j |image_j - cbar v_j| is
+    # within (1.5h + 10) eps bound mag of max_j |D_j| and the screen's defect
+    # x @ lin within (3h + 8) eps bound mag; 64h eps bound mag bounds their sum
+    # for every h >= 1 with room for the second-order terms.  Underflow adds at
+    # most eps tiny per operation; the factor 1 + 4 eps covers rounding in the
+    # comparisons and in tol max|v| (the kernel tests fl(max / scale) <= tol).
+    # Every magnitude stays below 4 bound mag, so nothing overflows if that is
+    # finite.
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    mag = float(np.abs(units).max(axis=1).sum())
+    limit = (tol * np.max(np.abs(v)) + 64 * h * eps * (bound * mag + tiny)) * (1 + 4 * eps)
+    if not (np.isfinite(lin).all() and np.isfinite([limit, 4 * bound * mag]).all()):
+        return None
+    split = 2 * h - tail.shape[1]
+    head, body = lin[:split], lin[split:]
+    head_j0 = head[:, j0].real.tolist()
+    keys = tail @ body[:, j0].real
+    order = np.argsort(keys)
+    keys = keys[order]
+    zero = len(tail) // 2
+
+    def may_hold(prefix) -> bool:
+        centre = -sum(p * c for p, c in zip(prefix, head_j0))
+        lo, hi = keys.searchsorted(centre - limit, "left"), keys.searchsorted(centre + limit, "right")
+        rows = order[lo:hi]
+        if not any(prefix):
+            rows = rows[rows != zero]  # the zero probe is not scanned
+        if not len(rows):
+            return False
+        defects = np.asarray(prefix, dtype=float) @ head + tail[rows] @ body
+        return bool((np.abs(defects) <= limit).all(axis=1).any())
+
+    return may_hold
+
+
 def search_solutions(
     omega: PeriodMatrix,
     base: LatticeCharge,
@@ -193,15 +267,21 @@ def search_solutions(
 
     The box is scanned one block of at most ``siegel.BLOCK_ROWS`` rows at a
     time, and with ``threads > 1`` each worker builds its own blocks, so
-    memory does not grow with the bound.  Records are returned sorted
-    lexicographically by (n', m'), the order of the blocks and of the rows
-    within each; the output is identical for every worker count.
+    memory does not grow with the bound.  Blocks that ``_block_screen``
+    proves to hold no accepted row are skipped; every other block goes whole
+    through the kernel, so the records do not depend on the screen.  Records
+    are returned sorted lexicographically by (n', m'), the order of the
+    blocks and of the rows within each; the output is identical for every
+    worker count.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     v = base_image(omega, base)
     h = omega.genus
     prefixes, tail = box_blocks(2 * h, bound)
+    may_hold = _block_screen(omega, v, bound, tol, tail)
+    if may_hold is not None:
+        prefixes = filter(may_hold, prefixes)
 
     def scan(prefix):
         rows, zero = box_block(prefix, tail)

@@ -362,3 +362,25 @@ def test_cli_rejects_non_finite_tau(capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--base", "1;0", "--bound", "1"],
+        ["cm-check", "--base", "1;0", "--probe", "2;0"],
+    ],
+)
+@pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i"])  # lambda_c overflows; only lambda_dual does
+def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
+    # the matrix validates, but the record's areas overflow
+    path = tmp_path / "huge.mat"
+    path.write_text("genus 1\n%s\n" % tau)
+    assert run_cli(["validate", str(path)])[0] == 0
+    code, out = run_cli([argv[0], str(path), *argv[1:]])
+    assert code == 1
+    # cm-check prints its wedge residual before the record, as for a rejected probe
+    assert "lambda" not in out and "special" not in out and "collinear" not in out
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
