@@ -1,18 +1,16 @@
 """Command-line front end: deterministic tables over matrix files.
 
 All tables are whitespace-delimited text with a '#' header line and numbers
-printed to 15 significant digits, so outputs are diffable across runs and
-worker counts.  Exit codes: 0 success, 1 validation or math failure,
-2 parse or configuration error.  Each flag is declared, converted, defaulted
-and range-checked once, in ``_build_parser``; a bad flag exits 2 with
-argparse's usage message.
+printed to 15 significant digits, so outputs are diffable across runs.  Exit
+codes: 0 success, 1 validation or math failure, 2 parse or configuration
+error.  Each flag is declared, converted, defaulted and range-checked once, in
+``_build_parser``; a bad flag exits 2 with argparse's usage message.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,17 +41,9 @@ class RunConfig:
     flags: argparse.Namespace = field(default_factory=argparse.Namespace)
 
     def resolved_threads(self) -> int:
-        """A nonzero ``--threads``, else ``THREADS``, else the CPU count."""
-        flag = getattr(self.flags, "threads", None)
-        if flag:
-            return flag
-        env = os.environ.get("THREADS")
-        if env is not None:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ParseError("THREADS must be an integer, got %r" % env)
-        return os.cpu_count() or 1
+        """Always 1: the search runs in one thread.  Kept only because
+        ``environment()`` in ``perfbench/run.py`` records it."""
+        return 1
 
 
 def _fmt(x: float) -> str:
@@ -115,7 +105,6 @@ def _cmd_search(config: RunConfig, out) -> int:
         parse_charge(config.flags.base, omega.genus),
         bound=config.flags.bound,
         tol=config.flags.tol,
-        threads=config.resolved_threads(),
     )
     out.write("# n m re_c im_c lambda_c degree classification\n")
     for rec in records:
@@ -223,7 +212,7 @@ def _cmd_report(config: RunConfig, out) -> int:
         out.write(
             "%s %s %s %s\n" % (result.name, _fmt(result.max_residual), _fmt(result.tol), status)
         )
-    minimum, at_zero = report.positivity_sweep(omega, bound=min(args.bound, 3))
+    minimum, at_zero = report.positivity_sweep(omega, bound=args.bound)
     positive = minimum > 0 and at_zero == 0.0
     all_passed = all_passed and positive
     out.write(
@@ -317,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix(p)
     p.add_argument("--base", required=True, help="base charge 'n1,..;m1,..'")
     p.add_argument("--bound", type=_int_at_least(1), default=2)
-    p.add_argument("--threads", type=_int_at_least(0), default=0, help="0: all CPUs")
     add_common(p)
 
     p = sub.add_parser("construct-g2", help="build a tied genus-2 matrix file")

@@ -131,6 +131,8 @@ def parse_tensor_file(text: str) -> AnsatzTensors:
         tokens = line.split()
         try:
             if tokens[0] == "h":
+                if h is not None:
+                    raise ValueError("repeated 'h' header")
                 if len(tokens) != 2:
                     raise ValueError("header must be 'h <int>'")
                 h = int(tokens[1])
@@ -141,19 +143,20 @@ def parse_tensor_file(text: str) -> AnsatzTensors:
                     for _ in range(h)
                 ]
                 m2 = [[Fraction(0)] * h for _ in range(h)]
-            elif len(tokens) == 5:
+            elif len(tokens) in (5, 3):
                 if h is None:
                     raise ValueError("missing 'h' header")
-                i, k, j, l = (int(t) - 1 for t in tokens[:4])
-                n4[i][k][j][l] = Fraction(tokens[4])
-            elif len(tokens) == 3:
-                if h is None:
-                    raise ValueError("missing 'h' header")
-                i, k = (int(t) - 1 for t in tokens[:2])
-                m2[i][k] = Fraction(tokens[2])
+                *idx, value = tokens
+                idx = [int(t) - 1 for t in idx]
+                if not all(0 <= i < h for i in idx):
+                    raise ValueError("indices must be between 1 and %d" % h)
+                target = n4 if len(idx) == 4 else m2
+                for i in idx[:-1]:
+                    target = target[i]
+                target[idx[-1]] = Fraction(value)
             else:
                 raise ValueError("expected 5 fields (N4) or 3 fields (M2)")
-        except (ValueError, ZeroDivisionError, IndexError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError("line %d: %s" % (lineno, exc)) from exc
     if h is None:
         raise ParseError("no 'h' header found")

@@ -6,7 +6,8 @@ factor.  Nonreal scale factors are the interesting case: they exhibit the
 surface as a branched cover of a torus and give the Jacobian complex
 multiplication.  The box search enumerates all probes up to a bound,
 records the scale factor, eigenvalues, covering degree, and a
-classification, and is deterministic for any worker count.
+classification, scanning the box in order in one thread, so a run's records
+are reproducible.
 
 Every record takes one path, whether it comes from the box search or from a
 single probe (``solution_record``, ``solve_c``): the acceptance kernel
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,8 +93,10 @@ def _scan_rows(omega, v, rows: np.ndarray):
     """The acceptance kernel: conjugate scale factor and residual of each probe.
 
     The residual max_j |v'_j - cbar v_j| is normalized by max_j |v_j| so the
-    tolerance is scale free.  Elementwise arithmetic only, so results do not
-    depend on how the box is partitioned across workers.
+    tolerance is scale free.  The ``n @ Omega`` product may round differently
+    for one row than for a block of rows, so a probe checked alone and the same
+    probe in a search can differ in rounding noise; see
+    ``tests/test_record_path.py::test_block_and_single_row_kernels_agree_to_rounding``.
     """
     h = omega.genus
     n_part = rows[:, :h].astype(float)
@@ -256,23 +258,15 @@ def _block_screen(omega, v, bound: int, tol: float, tail: np.ndarray):
     return may_hold
 
 
-def search_solutions(
-    omega: PeriodMatrix,
-    base: LatticeCharge,
-    bound: int,
-    tol: float,
-    threads: int = 1,
-) -> list:
+def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> list:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
     The box is scanned one block of at most ``siegel.BLOCK_ROWS`` rows at a
-    time, and with ``threads > 1`` each worker builds its own blocks, so
-    memory does not grow with the bound.  Blocks that ``_block_screen``
-    proves to hold no accepted row are skipped; every other block goes whole
-    through the kernel, so the records do not depend on the screen.  Records
-    are returned sorted lexicographically by (n', m'), the order of the
-    blocks and of the rows within each; the output is identical for every
-    worker count.
+    time, so memory does not grow with the bound.  Blocks that
+    ``_block_screen`` proves to hold no accepted row are skipped; every other
+    block goes whole through the kernel, so the records do not depend on the
+    screen.  Records are returned sorted lexicographically by (n', m'), the
+    order of the blocks and of the rows within each.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -282,22 +276,12 @@ def search_solutions(
     may_hold = _block_screen(omega, v, bound, tol, tail)
     if may_hold is not None:
         prefixes = filter(may_hold, prefixes)
-
-    def scan(prefix):
+    records = []
+    for prefix in prefixes:
         rows, zero = box_block(prefix, tail)
         if zero is not None:
             rows = np.delete(rows, zero, axis=0)
-        return _accepted(omega, v, rows, tol)
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        parts = map(scan, prefixes)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, prefixes))
-    records = []
-    for part in parts:
-        for flat, cbar in part:
+        for flat, cbar in _accepted(omega, v, rows, tol):
             probe = LatticeCharge(flat[:h], flat[h:])
             records.append(_record(omega, base, probe, cbar, tol))
     return records

@@ -28,6 +28,7 @@ from specialperiods import (
     random_siegel_point,
     real_product,
     search_solutions,
+    siegel,
     solution_record,
     torus_eigenvalue,
 )
@@ -204,25 +205,16 @@ def test_c07_genericity_control():
     _verdict(7, "genericity-control", ok, "20 random matrices, collinear multiples only")
 
 
-def test_c08_search_determinism(fixture_matrix_path):
-    outputs = []
-    for threads in ("1", "2", "8"):
-        code, out = run_cli(
-            [
-                "search",
-                str(fixture_matrix_path),
-                "--base",
-                "1,1;1,2",
-                "--bound",
-                "2",
-                "--threads",
-                threads,
-            ]
-        )
-        outputs.append((code, out))
+def test_c08_search_determinism(fixture_matrix_path, monkeypatch):
+    argv = ["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"]
+    outputs = [run_cli(argv), run_cli(argv)]
+    for block_rows in (1, 121, 16384):
+        monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
+        outputs.append(run_cli(argv))
     ok = all(code == 0 for code, _ in outputs)
-    ok = ok and outputs[0][1] == outputs[1][1] == outputs[2][1]
-    _verdict(8, "search-determinism", ok, "byte-identical output for 1, 2, 8 threads")
+    ok = ok and len({out for _, out in outputs}) == 1
+    detail = "byte-identical output for two repeated runs and BLOCK_ROWS 1, 121, 16384"
+    _verdict(8, "search-determinism", ok, detail)
 
 
 def test_c09_psf_identity():

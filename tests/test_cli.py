@@ -1,13 +1,11 @@
-import argparse
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_cli
 
-from specialperiods import ParseError
-from specialperiods.cli import RunConfig
+from specialperiods import ParseError, report
 from specialperiods.matrixio import (
     format_complex,
     format_matrix,
@@ -17,6 +15,7 @@ from specialperiods.matrixio import (
     parse_matrix_text,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 PI = np.pi
 
 
@@ -119,48 +118,11 @@ def test_cli_search_output(fixture_matrix_path):
     assert fields[6] == "special-complex"
 
 
-def test_cli_search_deterministic_across_threads(fixture_matrix_path):
-    outputs = []
-    for threads in ("1", "2", "8"):
-        code, out = run_cli(
-            [
-                "search",
-                str(fixture_matrix_path),
-                "--base",
-                "1,1;1,2",
-                "--bound",
-                "2",
-                "--threads",
-                threads,
-            ]
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_cli_threads_env_override(fixture_matrix_path, monkeypatch):
-    monkeypatch.setenv("THREADS", "3")
-    code, out = run_cli(
-        ["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"]
-    )
+def test_cli_search_ignores_threads_environment(fixture_matrix_path, monkeypatch):
+    monkeypatch.setenv("THREADS", "not-a-number")
+    code, out = run_cli(["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"])
     assert code == 0
-    monkeypatch.setenv("THREADS", "not-a-number")
-    code, _ = run_cli(
-        ["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"]
-    )
-    assert code == 2
-
-
-def test_threads_flag_beats_environment(monkeypatch):
-    monkeypatch.setenv("THREADS", "3")
-    assert RunConfig("search", None, argparse.Namespace(threads=5)).resolved_threads() == 5
-    assert RunConfig("search", None, argparse.Namespace(threads=0)).resolved_threads() == 3
-    assert RunConfig("search", None).resolved_threads() == 3
-    monkeypatch.setenv("THREADS", "not-a-number")
-    assert RunConfig("search", None, argparse.Namespace(threads=2)).resolved_threads() == 2
-    monkeypatch.delenv("THREADS")
-    assert RunConfig("search", None).resolved_threads() == (os.cpu_count() or 1)
+    assert out == (GOLDEN / "search.txt").read_text()
 
 
 def test_cli_construct_g2_round_trip(tmp_path, worked_case):
@@ -274,6 +236,20 @@ def test_cli_report_flag_ranges(fixture_matrix_path):
     assert "FAIL" not in out
 
 
+def test_cli_report_sweeps_the_bound_as_given(fixture_matrix_path, monkeypatch):
+    bounds = []
+    sweep = report.positivity_sweep
+
+    def spy(omega, bound):
+        bounds.append(bound)
+        return sweep(omega, bound)
+
+    monkeypatch.setattr(report, "positivity_sweep", spy)
+    code, out = run_cli(["report", str(fixture_matrix_path), "--trials", "5", "--bound", "5"])
+    assert code == 0 and "positivity-box" in out
+    assert bounds == [5]
+
+
 def test_cli_rejects_non_finite_matrix(tmp_path):
     mat = tmp_path / "inf.mat"
     mat.write_text("genus 1\n0+1e999i\n")
@@ -327,6 +303,7 @@ _G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--
         ["report", "MATRIX", "--charge-bound", "-1"],
         ["report", "MATRIX", "--seed", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "-1"],
+        ["search", "MATRIX", *_WORKED, "--threads", "2"],  # the search has no thread pool
         ["torus", "--tau", "1+i2"],
         ["construct-g2", *_G2, "--M", "1/0", "--out", "OUT"],
         ["construct-g2", *_G2, "--M", "1", "--out", "MISSING/g2.mat"],

@@ -130,3 +130,19 @@ def test_parse_tensor_file_errors():
         parse_tensor_file("h 2\n1 1 1 1/0\n")
     with pytest.raises(ParseError):
         parse_tensor_file("")
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("h 2\n0 1 1 1 5\n", 2),  # index 0 would wrap to the last entry
+        ("h 2\n1 1 1 1 5\n-1 1 7\n", 3),  # so would a negative index
+        ("h 2\n1 3 1 1 5\n", 2),
+        ("h 2\n2 3 7\n", 2),
+        ("h 1\n1 1 1 1 5\nh 1\n", 3),  # a second header would discard row 2
+    ],
+    ids=["zero", "negative", "above-h", "above-h-matrix", "repeated-header"],
+)
+def test_parse_tensor_file_rejects_bad_indices_and_repeated_header(text, line):
+    with pytest.raises(ParseError, match="line %d:" % line):
+        parse_tensor_file(text)

@@ -169,15 +169,6 @@ def test_record_invariants(worked_case):
         assert product == pytest.approx(expected, rel=1e-10)
 
 
-def test_search_threads_agree(worked_case):
-    _, omega, base = worked_case
-    serial = search_solutions(omega, base, bound=2, tol=1e-9, threads=1)
-    threaded = search_solutions(omega, base, bound=2, tol=1e-9, threads=8)
-    assert [(r.probe, r.c, r.degree) for r in serial] == [
-        (r.probe, r.c, r.degree) for r in threaded
-    ]
-
-
 def test_eigenvalues_worked_case(worked_case):
     _, omega, base = worked_case
     record = solution_record(omega, base, LatticeCharge((0, 0), (1, 2)), tol=1e-9)

@@ -24,7 +24,6 @@ from specialperiods.siegel import box_block, box_blocks, charge_box, validate_pe
 from test_record_path import _unit_base
 
 BLOCK_SIZES = (1, 7, 121, siegel.BLOCK_ROWS)
-THREADS = (1, 2, 8)
 
 
 def _streamed(dim, bound):
@@ -120,13 +119,12 @@ def test_records_and_tables_independent_of_blocks_and_threads(
     argv = ["search", str(path), "--base=%s;%s" % (",".join(map(str, base.n)), ",".join(map(str, base.m)))]
     argv += ["--bound", str(bound), "--tol", repr(tol)]
     reference = repr(search_solutions(omega, base, bound, tol))
-    code, table = run_cli(argv + ["--threads", "1"])
+    code, table = run_cli(argv)
     assert code == 0 and len(table.splitlines()) > 1
     for block_rows in block_sizes:
         monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
-        for threads in THREADS:
-            assert repr(search_solutions(omega, base, bound, tol, threads=threads)) == reference
-            assert run_cli(argv + ["--threads", str(threads)]) == (0, table)
+        assert repr(search_solutions(omega, base, bound, tol)) == reference
+        assert run_cli(argv) == (0, table)
 
 
 def test_loose_tolerance_case_has_special_records(worked_case):
@@ -152,7 +150,7 @@ def test_positivity_sweep_rejects_bound_zero():
 def _search_peak_bytes(omega, base, bound):
     tracemalloc.start()
     try:
-        search_solutions(omega, base, bound, 1e-9, threads=1)
+        search_solutions(omega, base, bound, 1e-9)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
