@@ -4,6 +4,9 @@ A charge (n, m) labels the unique holomorphic one-differential whose cycle
 periods all have imaginary part in pi * Z.  Everything here is expressed
 through its coefficient vector c in the basis normalized against the
 alpha cycles.
+
+``coeff_rows`` and ``periods`` take arrays whose last axis has length h and
+whose leading axes broadcast; ``primitive_coeffs`` and ``period_of`` call them.
 """
 
 from __future__ import annotations
@@ -43,16 +46,19 @@ class DifferentialCoeffs:
         return self.charge.is_zero
 
 
+def coeff_rows(omega: PeriodMatrix, n, m) -> np.ndarray:
+    """The vector c of ``primitive_coeffs``, one row per charge (n, m) of the arrays."""
+    real = np.pi * ((m - n @ omega.real_part.T) @ omega.imag_inverse.T)
+    return real + 1j * (np.pi * n)
+
+
 def primitive_coeffs(omega: PeriodMatrix, charge: LatticeCharge) -> DifferentialCoeffs:
     """Coefficients c_k = pi * sum_j (m - conj(Omega) n)_j (Im Omega)^{-1}_{jk}.
 
     The real and imaginary parts are assembled separately so that
     Im c_k = pi * n_k holds exactly, not merely to rounding.
     """
-    n, m = charge.n_vec, charge.m_vec
-    real = np.pi * (omega.imag_inverse @ (m - omega.real_part @ n))
-    c = real + 1j * (np.pi * n)
-    return DifferentialCoeffs(c=c, charge=charge)
+    return DifferentialCoeffs(c=coeff_rows(omega, charge.n_vec, charge.m_vec), charge=charge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +101,15 @@ def eta_bases(omega: PeriodMatrix) -> EtaBasis:
     return EtaBasis(eta1=eta1, eta2=eta2)
 
 
+def periods(omega: PeriodMatrix, c, q, p):
+    """``period_of`` over arrays of coefficient rows c and cycles (q, p)."""
+    return np.sum(c * (p + q @ omega.entries.T), axis=-1)
+
+
 def period_of(omega: PeriodMatrix, coeffs, cycle: CyclePair) -> complex:
     """Period of sum_k coeffs_k omega_k over the cycle p.alpha + q.beta."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    return complex(coeffs @ (cycle.p_vec + omega.entries @ cycle.q_vec))
+    return complex(periods(omega, coeffs, cycle.q_vec, cycle.p_vec))
 
 
 def eta_decomposition_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:

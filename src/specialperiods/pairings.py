@@ -6,6 +6,10 @@ always pi times the integer pairing p.n + q.m.  The real product is the
 symmetric positive form underneath.  Each identity used in the verification
 suite is exposed as a function returning a residual, so callers can report
 worst cases instead of bare booleans.
+
+Each formula is written once, over arrays of integer vectors (or coefficient
+rows) whose last axis has length h and whose leading axes broadcast, giving
+one value or row per broadcast index; the per-charge functions call them.
 """
 
 from __future__ import annotations
@@ -29,26 +33,45 @@ def _unit_cycles(h: int):
         yield CyclePair(q=ej, p=zero), CyclePair(q=zero, p=ej)
 
 
+def bilinear(x, a, y):
+    """The form x @ a @ y over the last axis of x and y."""
+    return np.sum((x @ a) * y, axis=-1)
+
+
+def integer_pairings(n, m, q, p):
+    """Integer pairing p.n + q.m; exact on ``object`` arrays of Python ints."""
+    return np.sum(p * n, axis=-1) + np.sum(q * m, axis=-1)
+
+
 def integer_defect(nm: LatticeCharge, qp: CyclePair) -> int:
     """Integer pairing p.n + q.m fixing the imaginary part of the product."""
-    return int(
-        sum(p * n for p, n in zip(qp.p, nm.n)) + sum(q * m for q, m in zip(qp.q, nm.m))
-    )
+    exact = (np.array(x, dtype=object) for x in (nm.n, nm.m, qp.q, qp.p))
+    return int(integer_pairings(*exact))
+
+
+def herm_products(omega: PeriodMatrix, n, m, q, p):
+    """``herm_product`` over arrays of charges (n, m) and cycles (q, p)."""
+    w = p + q @ omega.entries.T
+    v_conj = m - n @ omega.entries.conj().T
+    return np.pi * bilinear(w, omega.imag_inverse, v_conj)
 
 
 def herm_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> complex:
     """Period of the primitive differential of charge (n, m) over p.alpha + q.beta."""
-    w = qp.p_vec + omega.entries @ qp.q_vec
-    v_conj = nm.m_vec - omega.entries.conj() @ nm.n_vec
-    return complex(np.pi * (w @ omega.imag_inverse @ v_conj))
+    return complex(herm_products(omega, nm.n_vec, nm.m_vec, qp.q_vec, qp.p_vec))
+
+
+def real_products(omega: PeriodMatrix, n, m, q, p):
+    """``real_product`` over arrays of charges (n, m) and cycles (q, p)."""
+    o1 = omega.real_part
+    left = p - q @ o1.T
+    right = m - n @ o1.T
+    return np.pi * (bilinear(left, omega.imag_inverse, right) + bilinear(q, omega.imag_part, n))
 
 
 def real_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float:
     """Symmetric real form; positive definite on nonzero integer data."""
-    o1, o2 = omega.real_part, omega.imag_part
-    left = qp.p_vec - o1 @ qp.q_vec
-    right = nm.m_vec - o1 @ nm.n_vec
-    return float(np.pi * (left @ omega.imag_inverse @ right + qp.q_vec @ o2 @ nm.n_vec))
+    return float(real_products(omega, nm.n_vec, nm.m_vec, qp.q_vec, qp.p_vec))
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,13 @@ def monodromy_factor(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> f
     return float(np.exp(exponent.real) * sign)
 
 
+def wedge_integrals(omega: PeriodMatrix, ca, cb):
+    """``wedge_integral`` over arrays of coefficient rows ``ca`` and ``cb``."""
+    beta_a = ca @ omega.entries.T
+    beta_b = cb @ omega.entries.T
+    return np.sum(ca * np.conj(beta_b) - np.conj(cb) * beta_a, axis=-1)
+
+
 def wedge_integral(omega: PeriodMatrix, nm: LatticeCharge, qp: LatticeCharge) -> complex:
     """Surface integral of the first differential against the conjugate second.
 
@@ -92,9 +122,7 @@ def wedge_integral(omega: PeriodMatrix, nm: LatticeCharge, qp: LatticeCharge) ->
     """
     ca = primitive_coeffs(omega, nm).c
     cb = primitive_coeffs(omega, qp).c
-    beta_a = omega.entries @ ca
-    beta_b = omega.entries @ cb
-    return complex(np.sum(ca * np.conj(beta_b) - np.conj(cb) * beta_a))
+    return complex(wedge_integrals(omega, ca, cb))
 
 
 def area(omega: PeriodMatrix, nm: LatticeCharge) -> float:
@@ -130,25 +158,23 @@ def canonical_duality_tensors(omega: PeriodMatrix) -> DualityTensors:
     )
 
 
+def duality_vectors(omega: PeriodMatrix, n, m, tensors: DualityTensors):
+    """``duality_coeffs`` over an array of charges (n, m)."""
+    o1n = n @ omega.real_part.T
+    twisted = (1j * m + n @ omega.imag_part.T) @ tensors.F.astype(complex)
+    gn = 1j * (n @ tensors.G)
+    d1 = (m + o1n) @ tensors.E - twisted + gn
+    d2 = (m - o1n) @ tensors.E + twisted + gn
+    return d1.astype(complex), d2.astype(complex)
+
+
 def duality_coeffs(omega: PeriodMatrix, nm: LatticeCharge, tensors: DualityTensors):
     """Coefficient vectors of the two real one-forms solving the duality conditions.
 
     With the canonical tensors the second vector reproduces the primitive
     coefficients, pinning them through duality instead of monodromy.
     """
-    n, m = nm.n_vec, nm.m_vec
-    o1, o2 = omega.real_part, omega.imag_part
-    d1 = (
-        (m + o1 @ n) @ tensors.E
-        - (1j * m + o2 @ n) @ tensors.F.astype(complex)
-        + 1j * (n @ tensors.G)
-    )
-    d2 = (
-        (m - o1 @ n) @ tensors.E
-        + (1j * m + o2 @ n) @ tensors.F.astype(complex)
-        + 1j * (n @ tensors.G)
-    )
-    return d1.astype(complex), d2.astype(complex)
+    return duality_vectors(omega, nm.n_vec, nm.m_vec, tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Each trial draws a charge (n, m) and a second integer pair (q, p), which
 serves both as the cycle p.alpha + q.beta and as the charge (q, p).  All
 trials are drawn at once and every identity is one array expression over the
-batch.  The kernels below are batched forms of the per-charge functions in
-``pairings`` and ``differentials``, which remain the reference they are tested
-against.  Integer arrays carry a leading batch axis and broadcast, so a unit
-matrix in place of a batch evaluates every unit charge or cycle at once.
+batch, calling the shared array functions of ``pairings`` and
+``differentials``; their per-charge ``*_residual`` functions are the reference.
+Integer arrays carry a leading batch axis and broadcast, so a unit matrix in
+place of a batch evaluates every unit charge or cycle at once.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import differentials, pairings
+from .differentials import coeff_rows, periods
+from .pairings import (
+    bilinear, duality_vectors, herm_products, integer_pairings, real_products, wedge_integrals
+)
 from .siegel import PeriodMatrix, box_block, box_blocks
 
 
@@ -40,48 +44,11 @@ def draw_trials(rng, trials: int, h: int, bound: int) -> tuple:
     return tuple(data[:, k] for k in range(4))
 
 
-def _quad(x, a, y):
-    """Batched bilinear form x @ a @ y over the last axis."""
-    return np.sum((x @ a) * y, axis=-1)
-
-
-def _herm(omega, n, m, q, p):
-    """Batched ``pairings.herm_product`` of charges (n, m) over cycles (q, p)."""
-    w = p + q @ omega.entries.T
-    v_conj = m - n @ omega.entries.conj().T
-    return np.pi * _quad(w, omega.imag_inverse, v_conj)
-
-
-def _real(omega, n, m, q, p):
-    """Batched ``pairings.real_product``."""
-    o1 = omega.real_part
-    left = p - q @ o1.T
-    right = m - n @ o1.T
-    return np.pi * (_quad(left, omega.imag_inverse, right) + _quad(q, omega.imag_part, n))
-
-
-def _coeffs(omega, n, m):
-    """Batched ``differentials.primitive_coeffs``: one coefficient row per charge."""
-    real = np.pi * ((m - n @ omega.real_part.T) @ omega.imag_inverse.T)
-    return real + 1j * (np.pi * n)
-
-
-def _period(omega, c, q, p):
-    """Batched ``differentials.period_of`` of coefficient rows over cycles (q, p)."""
-    return np.sum(c * (p + q @ omega.entries.T), axis=-1)
-
-
-def _wedge(omega, ca, cb):
-    """Batched ``pairings.wedge_integral`` from the two coefficient rows."""
-    beta_a = ca @ omega.entries.T
-    beta_b = cb @ omega.entries.T
-    return np.sum(ca * np.conj(beta_b) - np.conj(cb) * beta_a, axis=-1)
-
-
 def _area(omega, n, m):
     """Batched ``pairings.area`` of nonzero charges."""
+    # not shared: this form rounds unlike ``pairings.area``, whose bits the printed lambda_c pins
     v = m - n @ omega.entries.T
-    return np.pi * np.pi / 2 * np.real(_quad(v, omega.imag_inverse, np.conj(v)))
+    return np.pi * np.pi / 2 * np.real(bilinear(v, omega.imag_inverse, np.conj(v)))
 
 
 def _factorized_herm(omega, n, m, q, p):
@@ -89,21 +56,11 @@ def _factorized_herm(omega, n, m, q, p):
     eye = np.eye(omega.genus, dtype=int)
     zero = np.zeros_like(eye)
     n, m, q, p = (x[:, None, :] for x in (n, m, q, p))
-    over_beta = _herm(omega, n, m, eye, zero) * _herm(omega, zero, eye, q, p)
-    over_alpha = _herm(omega, n, m, zero, eye) * _herm(omega, eye, zero, q, p)
+    over_beta = herm_products(omega, n, m, eye, zero) * herm_products(omega, zero, eye, q, p)
+    over_alpha = herm_products(omega, n, m, zero, eye) * herm_products(omega, eye, zero, q, p)
     # interleaved beta_j, alpha_j terms, summed in the reference's order
     terms = np.stack((over_beta, over_alpha), axis=-1).reshape(len(over_beta), -1)
     return np.sum(terms, axis=-1)
-
-
-def _duality_second(omega, n, m, tensors):
-    """Batched second vector of ``pairings.duality_coeffs``."""
-    d2 = (
-        (m - n @ omega.real_part.T) @ tensors.E
-        + (1j * m + n @ omega.imag_part.T) @ tensors.F.astype(complex)
-        + 1j * (n @ tensors.G)
-    )
-    return d2.astype(complex)
 
 
 def run_identity_suite(
@@ -129,57 +86,59 @@ def run_identity_suite(
     basis = differentials.eta_bases(omega)
     tensors = pairings.canonical_duality_tensors(omega)
 
-    defect = np.sum(p * n, axis=1) + np.sum(q * m, axis=1)
-    twist = np.sum(p * n, axis=1) - np.sum(q * m, axis=1)
-    herm = _herm(omega, n, m, q, p)
-    reflected = _herm(omega, n, m, -q, p)
-    real = _real(omega, n, m, q, p)
-    c_nm = _coeffs(omega, n, m)
-    c_qp = _coeffs(omega, q, p)
-    wedge = _wedge(omega, c_nm, c_qp)
+    defect = integer_pairings(n, m, q, p)
+    twist = integer_pairings(n, m, -q, p)
+    herm = herm_products(omega, n, m, q, p)
+    reflected = herm_products(omega, n, m, -q, p)
+    real = real_products(omega, n, m, q, p)
+    c_nm = coeff_rows(omega, n, m)
+    c_qp = coeff_rows(omega, q, p)
+    wedge = wedge_integrals(omega, c_nm, c_qp)
+    swapped = wedge_integrals(omega, coeff_rows(omega, m, n), coeff_rows(omega, p, q))
     o2 = omega.imag_part
 
     residuals = {
-        "herm-vs-period": np.abs(herm - _period(omega, c_nm, q, p)),
+        "herm-vs-period": np.abs(herm - periods(omega, c_nm, q, p)),
         "herm-imag-integrality": np.abs(herm.imag - pi * defect),
         "herm-conjugation-shift": np.maximum(
             np.abs(np.conj(herm) - (herm - 2j * pi * defect)),
-            np.abs(np.conj(herm) - _herm(omega, -q, p, -n, m)),
+            np.abs(np.conj(herm) - herm_products(omega, -q, p, -n, m)),
         ),
         "herm-basis-factorization": np.abs(
             herm - _factorized_herm(omega, n, m, q, p) / (2j * pi)
         ),
-        "real-product-symmetry": np.abs(real - _real(omega, q, p, n, m)),
+        "real-product-symmetry": np.abs(real - real_products(omega, q, p, n, m)),
         "herm-vs-real-product": np.abs(real - (reflected - 1j * pi * twist)),
-        "self-pairing-real": np.abs(_real(omega, n, m, n, m) - _herm(omega, n, m, -n, m)),
+        "self-pairing-real": np.abs(
+            real_products(omega, n, m, n, m) - herm_products(omega, n, m, -n, m)
+        ),
         "real-product-coefficient-form": np.abs(
-            real - (_quad(c_nm.real, o2, c_qp.real) + _quad(c_qp.imag, o2, c_nm.imag)) / pi
+            real - (bilinear(c_nm.real, o2, c_qp.real) + bilinear(c_qp.imag, o2, c_nm.imag)) / pi
         ),
         "wedge-vs-herm": np.abs(0.5j * wedge - pi * reflected),
         "wedge-order-defect": np.abs(
-            wedge - (_wedge(omega, c_qp, c_nm) + 4 * pi * pi * twist)
+            wedge - (wedge_integrals(omega, c_qp, c_nm) + 4 * pi * pi * twist)
         ),
         "wedge-imag-antisymmetry": np.abs(
-            np.imag(0.5j * wedge)
-            + np.imag(0.5j * _wedge(omega, _coeffs(omega, m, n), _coeffs(omega, p, q)))
+            np.imag(0.5j * wedge) + np.imag(0.5j * swapped)
         ),
         "coeffs-eta-decomposition": np.max(
             np.abs(c_nm - (m @ basis.eta1 + n @ basis.eta2)), axis=1
         ),
         "duality-fixes-coefficients": np.max(
-            np.abs(_duality_second(omega, n, m, tensors) - c_nm), axis=1
+            np.abs(duality_vectors(omega, n, m, tensors)[1] - c_nm), axis=1
         ),
     }
     nonzero = np.any(n != 0, axis=1) | np.any(m != 0, axis=1)
     if nonzero.any():
         n, m = n[nonzero], m[nonzero]
         area = _area(omega, n, m)
-        exponent = _herm(omega, n, m, n, -m)
+        exponent = herm_products(omega, n, m, n, -m)
         target = -2.0 / pi * area
         residuals["winding-area-exponent"] = np.maximum(
             np.abs(exponent.real - target), np.abs(exponent.imag)
         )
-        residuals["area-vs-real-product"] = np.abs(area - pi / 2 * _real(omega, n, m, n, m))
+        residuals["area-vs-real-product"] = np.abs(area - pi / 2 * real_products(omega, n, m, n, m))
     residuals["eta-period-normalization"] = differentials.eta_period_residual(omega)
     residuals["eta-row-identity"] = differentials.eta_row_identity_residual(omega)
 
@@ -197,18 +156,13 @@ def positivity_sweep(omega: PeriodMatrix, bound: int):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     h = omega.genus
-    o1, o2 = omega.real_part, omega.imag_part
     prefixes, tail = box_blocks(2 * h, bound)
     minimum = np.inf
     for prefix in prefixes:
         rows, zero = box_block(prefix, tail)
         n_part = rows[:, :h].astype(float)
         m_part = rows[:, h:].astype(float)
-        left = m_part - n_part @ o1
-        values = np.pi * (
-            np.einsum("ij,jk,ik->i", left, omega.imag_inverse, left)
-            + np.einsum("ij,jk,ik->i", n_part, o2, n_part)
-        )
+        values = real_products(omega, n_part, m_part, n_part, m_part)
         if zero is not None:
             at_zero = float(values[zero])
             values = np.delete(values, zero)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .differentials import d_matrix, lattice_image
+from .differentials import d_matrix, lattice_image, period_of
 from .errors import (
     ConvergenceDomain,
     DegenerateBase,
@@ -32,7 +32,7 @@ from .errors import (
     NotASolution,
     NotIntegralDegree,
 )
-from .pairings import area, integer_defect
+from .pairings import _unit_cycles, area, integer_defect
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix, box_block, box_blocks
 
 COLLINEAR_RATIONAL = "collinear-rational"
@@ -306,7 +306,7 @@ def cover_monodromy(
     flags a false positive from the search tolerance.
     """
     u = _cover_vector(base, record)
-    value = complex(u @ (cycle.p_vec + omega.entries @ cycle.q_vec))
+    value = period_of(omega, u, cycle)
     const = -integer_defect(record.effective_probe, cycle)
     slope = integer_defect(base, cycle)
     expected = const + record.c_conj * slope
@@ -318,14 +318,17 @@ def cover_monodromy(
 
 
 def _raw_degree(omega: PeriodMatrix, u: np.ndarray, record: SolutionRecord) -> float:
-    """Area ratio of the two flat metrics; an integer for a genuine cover."""
+    """Area ratio of the two flat metrics; an integer for a genuine cover.
+
+    Only a special-complex record has a torus cover; any other raises.
+    """
+    if record.classification != SPECIAL_COMPLEX:
+        raise NotIntegralDegree("no torus cover for a %s record" % record.classification)
     return float(np.real(u @ omega.imag_part @ np.conj(u)) / record.c_conj.imag)
 
 
 def cover_degree(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> int:
     """Number of sheets of the torus cover: area ratio of the two flat metrics."""
-    if record.c_conj.imag <= 0:
-        raise NotIntegralDegree("no torus cover for a real scale factor")
     raw = _raw_degree(omega, _cover_vector(base, record), record)
     rounded = int(round(raw))
     if abs(raw - rounded) > _DEGREE_TOL or rounded < 1:
@@ -349,12 +352,8 @@ def cover_data(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord)
     """Assemble the covering map data over all 2h basis cycles."""
     u = _cover_vector(base, record)
     raw = _raw_degree(omega, u, record)
-    h = omega.genus
-    eye = np.eye(h, dtype=int)
     table = []
-    for k in range(h):
-        alpha = CyclePair(q=(0,) * h, p=tuple(eye[k]))
-        beta = CyclePair(q=tuple(eye[k]), p=(0,) * h)
+    for beta, alpha in _unit_cycles(omega.genus):
         for cycle in (alpha, beta):
             value, coords = cover_monodromy(omega, base, record, cycle)
             table.append((cycle, value, coords))

@@ -65,16 +65,24 @@ class GridField:
         self.samples.setflags(write=False)
 
 
+def _eigenfunction(entry: TorusSpectrumEntry, x, y):
+    """exp(c z - conj(c z)) at z = x + tau y."""
+    # z is named: numpy would multiply a temporary in place, which rounds differently
+    z = x + entry.tau * y
+    return np.exp(2j * np.imag(entry.c * z))
+
+
+def _sampled(entry: TorusSpectrumEntry, N: int) -> GridField:
+    coords = np.arange(N) / N
+    samples = _eigenfunction(entry, coords[:, None], coords[None, :])
+    return GridField(resolution=N, samples=samples, tau=entry.tau, charge=entry.charge)
+
+
 def sample_eigenfunction(tau: complex, n: int, m: int, N: int) -> GridField:
     """Sample exp(c z - conj(c z)) on the N x N flat-coordinate grid."""
     if N < 8:
         raise ValueError("grid resolution must be at least 8")
-    entry = torus_eigenvalue(tau, n, m)
-    tau, c = entry.tau, entry.c
-    coords = np.arange(N) / N
-    z = coords[:, None] + tau * coords[None, :]
-    samples = np.exp(2j * np.imag(c * z))
-    return GridField(resolution=N, samples=samples, tau=tau, charge=(int(n), int(m)))
+    return _sampled(torus_eigenvalue(tau, n, m), N)
 
 
 def grid_inner_product(f: GridField, g: GridField) -> complex:
@@ -89,15 +97,10 @@ def grid_inner_product(f: GridField, g: GridField) -> complex:
 
 def wraparound_residual(tau: complex, n: int, m: int, N: int) -> float:
     """Mismatch of the sampled eigenfunction across both cell boundaries."""
-    c = torus_eigenvalue(tau, n, m).c
+    entry = torus_eigenvalue(tau, n, m)
     coords = np.arange(N) / N
-
-    def value(x, y):
-        z = x + complex(tau) * y
-        return np.exp(2j * np.imag(c * z))
-
-    dx = np.max(np.abs(value(1.0, coords) - value(0.0, coords)))
-    dy = np.max(np.abs(value(coords, 1.0) - value(coords, 0.0)))
+    dx = np.max(np.abs(_eigenfunction(entry, 1.0, coords) - _eigenfunction(entry, 0.0, coords)))
+    dy = np.max(np.abs(_eigenfunction(entry, coords, 1.0) - _eigenfunction(entry, coords, 0.0)))
     return float(max(dx, dy))
 
 
@@ -133,11 +136,10 @@ def fd_eigen_residual(tau: complex, n: int, m: int, N: int):
     if N < FD_MIN_RESOLUTION:
         raise ValueError("grid resolution must be at least %d" % FD_MIN_RESOLUTION)
     entry = torus_eigenvalue(tau, n, m)
-    tau = entry.tau
     if n == 0 and m == 0:
         return 0.0, 0.0
-    field = sample_eigenfunction(tau, n, m, N)
-    applied = _fd_laplacian(field.samples, tau, N)
+    field = _sampled(entry, N)
+    applied = _fd_laplacian(field.samples, entry.tau, N)
     target = entry.lam * field.samples
     residual = np.linalg.norm(applied - target) / np.linalg.norm(target)
     return entry.lam, float(residual)

@@ -116,6 +116,22 @@ def test_cli_search_output(fixture_matrix_path):
     assert float(fields[3]) == pytest.approx(-6 / 13)
     assert fields[5] == "3"
     assert fields[6] == "special-complex"
+    # A leading "-" needs the "=" form (the space form is in test_cli_bad_flags_exit_2).  The
+    # negated base has the same records with negated probes, in reverse order.
+    code, out = run_cli(
+        ["search", str(fixture_matrix_path), "--base=-1,-1;-1,-2", "--bound", "2"]
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (GOLDEN / "search.txt").read_text().splitlines()[0]
+    negated = [_numeric_row(line) for line in out.splitlines()[1:]]
+    assert negated == [_numeric_row(line, probe_sign=-1) for line in reversed(lines)]
+
+
+def _numeric_row(line, probe_sign=1):
+    """A search row with its probe as integers and its c and lambda_c as floats."""
+    fields = line.split()
+    probe = [probe_sign * int(x) for x in (fields[0] + "," + fields[1]).split(",")]
+    return probe, [float(x) for x in fields[2:5]], fields[5:]
 
 
 def test_cli_search_ignores_threads_environment(fixture_matrix_path, monkeypatch):
@@ -304,6 +320,7 @@ _G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--
         ["report", "MATRIX", "--seed", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "2"],  # the search has no thread pool
+        ["search", "MATRIX", "--base", "-1,-1;-1,-2"],  # a leading "-" needs --base=-1,...
         ["torus", "--tau", "1+i2"],
         ["construct-g2", *_G2, "--M", "1/0", "--out", "OUT"],
         ["construct-g2", *_G2, "--M", "1", "--out", "MISSING/g2.mat"],

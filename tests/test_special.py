@@ -196,6 +196,9 @@ def test_cover_data_all_cycles(worked_case):
     _, omega, base = worked_case
     for record in search_solutions(omega, base, bound=2, tol=1e-9):
         if record.classification != "special-complex":
+            # a collinear record has no torus cover, so no degree and no table
+            with pytest.raises(NotIntegralDegree):
+                cover_data(omega, base, record)
             continue
         data = cover_data(omega, base, record)
         assert len(data.monodromy_table) == 4

@@ -106,7 +106,7 @@ def _case(name, worked_case):
 
 
 @pytest.mark.parametrize("name,bound,tol", CASES)
-def test_records_and_tables_independent_of_blocks_and_threads(
+def test_records_and_tables_independent_of_blocks(
     monkeypatch, tmp_path, worked_case, name, bound, tol
 ):
     omega, base = _case(name, worked_case)
