@@ -1,9 +1,6 @@
 """Primitive-differential algebra on period matrices and special-surface search."""
 
 from .differentials import (
-    DifferentialCoeffs,
-    DMatrix,
-    EtaBasis,
     d_matrix,
     eta_bases,
     lattice_image,
@@ -28,10 +25,8 @@ from .errors import (
 )
 from .genus2 import (
     Genus2Params,
-    GammaLattice,
     build_special_genus2,
     gamma_complete,
-    gamma_lattice,
     gamma_members,
     genus2_eigenvalue_family,
 )
@@ -45,13 +40,11 @@ from .highgenus import (
 )
 from .pairings import (
     DualityTensors,
-    PairingValue,
     area,
     canonical_duality_tensors,
     duality_coeffs,
     herm_product,
     monodromy_factor,
-    pairing_value,
     real_product,
     wedge_integral,
 )

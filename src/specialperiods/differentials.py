@@ -11,8 +11,6 @@ whose leading axes broadcast; ``primitive_coeffs`` and ``period_of`` call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
@@ -23,82 +21,38 @@ def lattice_image(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     return charge.m_vec - omega.entries @ charge.n_vec
 
 
-@dataclass(frozen=True, eq=False)
-class DifferentialCoeffs:
-    """Coefficient vector of one primitive differential, with its charge."""
-
-    c: np.ndarray
-    charge: LatticeCharge
-
-    def __post_init__(self):
-        self.c.setflags(write=False)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.c.real
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.c.imag
-
-    @property
-    def degenerate(self) -> bool:
-        return self.charge.is_zero
-
-
 def coeff_rows(omega: PeriodMatrix, n, m) -> np.ndarray:
     """The vector c of ``primitive_coeffs``, one row per charge (n, m) of the arrays."""
     real = np.pi * ((m - n @ omega.real_part.T) @ omega.imag_inverse.T)
     return real + 1j * (np.pi * n)
 
 
-def primitive_coeffs(omega: PeriodMatrix, charge: LatticeCharge) -> DifferentialCoeffs:
+def primitive_coeffs(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     """Coefficients c_k = pi * sum_j (m - conj(Omega) n)_j (Im Omega)^{-1}_{jk}.
 
     The real and imaginary parts are assembled separately so that
     Im c_k = pi * n_k holds exactly, not merely to rounding.
     """
-    return DifferentialCoeffs(c=coeff_rows(omega, charge.n_vec, charge.m_vec), charge=charge)
+    return coeff_rows(omega, charge.n_vec, charge.m_vec)
 
 
-@dataclass(frozen=True, eq=False)
-class DMatrix:
+def d_matrix(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     """Charge-weighted matrix D_kj = m_k delta_kj - n_k conj(Omega)_kj."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-def d_matrix(omega: PeriodMatrix, charge: LatticeCharge) -> DMatrix:
     n, m = charge.n_vec, charge.m_vec
-    entries = np.diag(m).astype(complex) - n[:, None] * omega.entries.conj()
-    return DMatrix(entries=entries)
+    return np.diag(m).astype(complex) - n[:, None] * omega.entries.conj()
 
 
-@dataclass(frozen=True, eq=False)
-class EtaBasis:
-    """Coefficient rows of the two distinguished bases eta1, eta2.
+def eta_bases(omega: PeriodMatrix) -> tuple:
+    """Coefficient rows (eta1, eta2) of the two distinguished bases.
 
     Row j of ``eta1`` holds the coefficients of the j-th differential whose
     beta periods have imaginary part pi * delta_jk; ``eta2`` is the companion
     basis with the roles of alpha and beta periods exchanged.
     """
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-
-    def __post_init__(self):
-        self.eta1.setflags(write=False)
-        self.eta2.setflags(write=False)
-
-
-def eta_bases(omega: PeriodMatrix) -> EtaBasis:
     h = omega.genus
     eta1 = np.pi * omega.imag_inverse.astype(complex)
     eta2 = np.pi * (1j * np.eye(h) - omega.real_part @ omega.imag_inverse)
-    return EtaBasis(eta1=eta1, eta2=eta2)
+    return eta1, eta2
 
 
 def periods(omega: PeriodMatrix, c, q, p):
@@ -114,15 +68,15 @@ def period_of(omega: PeriodMatrix, coeffs, cycle: CyclePair) -> complex:
 
 def eta_decomposition_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:
     """Residual of c_{n,m} = m . eta1 + n . eta2."""
-    basis = eta_bases(omega)
-    recombined = charge.m_vec @ basis.eta1 + charge.n_vec @ basis.eta2
-    return float(np.max(np.abs(primitive_coeffs(omega, charge).c - recombined)))
+    eta1, eta2 = eta_bases(omega)
+    recombined = charge.m_vec @ eta1 + charge.n_vec @ eta2
+    return float(np.max(np.abs(primitive_coeffs(omega, charge) - recombined)))
 
 
 def eta_row_identity_residual(omega: PeriodMatrix) -> float:
     """Residual of eta2 = -conj(Omega) eta1, row by row."""
-    basis = eta_bases(omega)
-    return float(np.max(np.abs(basis.eta2 + omega.entries.conj() @ basis.eta1)))
+    eta1, eta2 = eta_bases(omega)
+    return float(np.max(np.abs(eta2 + omega.entries.conj() @ eta1)))
 
 
 def eta_period_residual(omega: PeriodMatrix) -> float:
@@ -133,19 +87,19 @@ def eta_period_residual(omega: PeriodMatrix) -> float:
     of ``eta @ Omega`` is the period of row j over the k-th beta cycle.  The
     worst case is an array maximum, so a NaN period yields NaN.
     """
-    basis = eta_bases(omega)
+    eta1, eta2 = eta_bases(omega)
     pi_eye = np.pi * np.eye(omega.genus)
     defects = (
-        basis.eta1.imag,
-        (basis.eta1 @ omega.entries).imag - pi_eye,
-        basis.eta2.imag - pi_eye,
-        (basis.eta2 @ omega.entries).imag,
+        eta1.imag,
+        (eta1 @ omega.entries).imag - pi_eye,
+        eta2.imag - pi_eye,
+        (eta2 @ omega.entries).imag,
     )
     return float(np.max(np.abs(defects)))
 
 
 def d_matrix_contraction_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:
     """Residual of c_k = pi * sum_{j,l} D_jl (Im Omega)^{-1}_{lk}."""
-    d = d_matrix(omega, charge).entries
+    d = d_matrix(omega, charge)
     contracted = np.pi * (d.sum(axis=0) @ omega.imag_inverse)
-    return float(np.max(np.abs(contracted - primitive_coeffs(omega, charge).c)))
+    return float(np.max(np.abs(contracted - primitive_coeffs(omega, charge))))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadRationality, NotInGamma
 from .pairings import area
-from .siegel import LatticeCharge, PeriodMatrix, validate_period_matrix
+from .siegel import LatticeCharge, PeriodMatrix, charge_box, validate_period_matrix
 from .special import solve_c
 
 BRANCH_PLUS = "+"
@@ -91,24 +91,14 @@ def build_special_genus2(params: Genus2Params) -> PeriodMatrix:
     return validate_period_matrix(raw)
 
 
-@dataclass(frozen=True)
-class GammaLattice:
-    """Membership data for one of the two genus-one seed families."""
+def gamma_complete(params: Genus2Params, branch: str, n1: int, m1: int) -> LatticeCharge:
+    """Complete a genus-one seed (n1, m1) to the full genus-2 charge.
 
-    branch: str
-    M: Fraction
-    N2: Fraction
-    N3: Fraction
-
-    def contains(self, n1: int, m1: int) -> bool:
-        try:
-            _complete(self.M, self.N2, self.N3, self.branch, n1, m1)
-        except NotInGamma:
-            return False
-        return True
-
-
-def _complete(M: Fraction, N2: Fraction, N3: Fraction, branch: str, n1: int, m1: int):
+    Raises NotInGamma when the completion is not integral, i.e. the seed is
+    not a member of the requested family.
+    """
+    n1, m1 = int(n1), int(m1)
+    M, N2, N3 = params.M, params.N2, params.N3
     if branch == BRANCH_PLUS:
         n2 = Fraction(n1) / M
         m2 = (N2 + M) * m1 + N3 * Fraction(n1) / M
@@ -121,36 +111,19 @@ def _complete(M: Fraction, N2: Fraction, N3: Fraction, branch: str, n1: int, m1:
         raise NotInGamma(
             "seed (%d, %d) has no integral completion on branch %s" % (n1, m1, branch)
         )
-    return int(n2), int(m2)
-
-
-def gamma_lattice(params: Genus2Params, branch: str) -> GammaLattice:
-    if branch not in (BRANCH_PLUS, BRANCH_MINUS):
-        raise ValueError("branch must be '+' or '-'")
-    return GammaLattice(branch=branch, M=params.M, N2=params.N2, N3=params.N3)
-
-
-def gamma_complete(params: Genus2Params, branch: str, n1: int, m1: int) -> LatticeCharge:
-    """Complete a genus-one seed (n1, m1) to the full genus-2 charge.
-
-    Raises when the completion is not integral, i.e. the seed is not a
-    member of the requested family.
-    """
-    n2, m2 = _complete(params.M, params.N2, params.N3, branch, int(n1), int(m1))
-    return LatticeCharge((int(n1), n2), (int(m1), m2))
+    return LatticeCharge((n1, int(n2)), (m1, int(m2)))
 
 
 def gamma_members(params: Genus2Params, branch: str, bound: int) -> list:
     """Nonzero family members with |n1|, |m1| <= bound, in lexicographic order."""
     members = []
-    for n1 in range(-bound, bound + 1):
-        for m1 in range(-bound, bound + 1):
-            if n1 == 0 and m1 == 0:
-                continue
-            try:
-                members.append((n1, m1, gamma_complete(params, branch, n1, m1)))
-            except NotInGamma:
-                continue
+    for n1, m1 in charge_box(2, bound).tolist():
+        if n1 == 0 and m1 == 0:
+            continue
+        try:
+            members.append((n1, m1, gamma_complete(params, branch, n1, m1)))
+        except NotInGamma:
+            continue
     return members
 
 

@@ -76,9 +76,10 @@ def load_period_matrix(path) -> PeriodMatrix:
 
 
 def format_matrix(omega: PeriodMatrix) -> str:
+    """The matrix file text; each entry in the shortest form that reads back exactly."""
     lines = ["genus %d" % omega.genus]
     for row in omega.entries:
-        lines.append(" ".join(format_complex(z) for z in row))
+        lines.append(" ".join("{}{:+}i".format(z.real, z.imag) for z in row))
     return "\n".join(lines) + "\n"
 
 

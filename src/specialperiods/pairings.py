@@ -74,23 +74,6 @@ def real_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float
     return float(real_products(omega, nm.n_vec, nm.m_vec, qp.q_vec, qp.p_vec))
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    """Hermitian and real products of one (charge, cycle) pair."""
-
-    herm: complex
-    real_sp: float
-    integer_defect: int
-
-
-def pairing_value(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> PairingValue:
-    return PairingValue(
-        herm=herm_product(omega, nm, qp),
-        real_sp=real_product(omega, nm, qp),
-        integer_defect=integer_defect(nm, qp),
-    )
-
-
 def monodromy_factor(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float:
     """Real multiplier picked up around a cycle: exp of the Hermitian product.
 
@@ -120,8 +103,8 @@ def wedge_integral(omega: PeriodMatrix, nm: LatticeCharge, qp: LatticeCharge) ->
     Evaluated through the bilinear relations: only alpha and beta periods of
     the two differentials enter.
     """
-    ca = primitive_coeffs(omega, nm).c
-    cb = primitive_coeffs(omega, qp).c
+    ca = primitive_coeffs(omega, nm)
+    cb = primitive_coeffs(omega, qp)
     return complex(wedge_integrals(omega, ca, cb))
 
 
@@ -183,7 +166,7 @@ def duality_coeffs(omega: PeriodMatrix, nm: LatticeCharge, tensors: DualityTenso
 
 def herm_period_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     """Hermitian product against the direct period of the coefficient vector."""
-    direct = period_of(omega, primitive_coeffs(omega, nm).c, qp)
+    direct = period_of(omega, primitive_coeffs(omega, nm), qp)
     return abs(herm_product(omega, nm, qp) - direct)
 
 
@@ -240,8 +223,8 @@ def self_pairing_residual(omega, nm: LatticeCharge) -> float:
 
 def coeff_form_residual(omega, nm: LatticeCharge, qp: CyclePair) -> float:
     """Real product expressed through the coefficient vectors of both charges."""
-    ca = primitive_coeffs(omega, nm).c
-    cb = primitive_coeffs(omega, LatticeCharge(qp.q, qp.p)).c
+    ca = primitive_coeffs(omega, nm)
+    cb = primitive_coeffs(omega, LatticeCharge(qp.q, qp.p))
     o2 = omega.imag_part
     value = (ca.real @ o2 @ cb.real + cb.imag @ o2 @ ca.imag) / np.pi
     return abs(real_product(omega, nm, qp) - value)
@@ -299,4 +282,4 @@ def area_real_product_residual(omega, nm: LatticeCharge) -> float:
 def duality_canonical_residual(omega, nm: LatticeCharge) -> float:
     """With canonical tensors the second duality vector is the coefficient vector."""
     _, d2 = duality_coeffs(omega, nm, canonical_duality_tensors(omega))
-    return float(np.max(np.abs(d2 - primitive_coeffs(omega, nm).c)))
+    return float(np.max(np.abs(d2 - primitive_coeffs(omega, nm))))

@@ -83,7 +83,7 @@ def run_identity_suite(
         raise ValueError("charge bound must be nonnegative, got %d" % charge_bound)
     n, m, q, p = draw_trials(np.random.default_rng(seed), trials, omega.genus, charge_bound)
     pi = np.pi
-    basis = differentials.eta_bases(omega)
+    eta1, eta2 = differentials.eta_bases(omega)
     tensors = pairings.canonical_duality_tensors(omega)
 
     defect = integer_pairings(n, m, q, p)
@@ -123,7 +123,7 @@ def run_identity_suite(
             np.imag(0.5j * wedge) + np.imag(0.5j * swapped)
         ),
         "coeffs-eta-decomposition": np.max(
-            np.abs(c_nm - (m @ basis.eta1 + n @ basis.eta2)), axis=1
+            np.abs(c_nm - (m @ eta1 + n @ eta2)), axis=1
         ),
         "duality-fixes-coefficients": np.max(
             np.abs(duality_vectors(omega, n, m, tensors)[1] - c_nm), axis=1

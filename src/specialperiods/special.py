@@ -288,7 +288,12 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
 
 
 def _cover_vector(base: LatticeCharge, record: SolutionRecord) -> np.ndarray:
-    """Coefficients of the differential realizing the torus map."""
+    """Coefficients of the differential realizing the torus map.
+
+    Only a special-complex record has a torus cover; any other raises.
+    """
+    if record.classification != SPECIAL_COMPLEX:
+        raise NotIntegralDegree("no torus cover for a %s record" % record.classification)
     effective = record.effective_probe
     return record.c_conj * base.n_vec - effective.n_vec
 
@@ -318,12 +323,7 @@ def cover_monodromy(
 
 
 def _raw_degree(omega: PeriodMatrix, u: np.ndarray, record: SolutionRecord) -> float:
-    """Area ratio of the two flat metrics; an integer for a genuine cover.
-
-    Only a special-complex record has a torus cover; any other raises.
-    """
-    if record.classification != SPECIAL_COMPLEX:
-        raise NotIntegralDegree("no torus cover for a %s record" % record.classification)
+    """Area ratio of the two flat metrics; an integer for a genuine cover."""
     return float(np.real(u @ omega.imag_part @ np.conj(u)) / record.c_conj.imag)
 
 
@@ -402,7 +402,7 @@ def psf_coefficient(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     collapses to n - Omega m.
     """
     swapped = LatticeCharge(charge.m, charge.n)
-    return np.conj(d_matrix(omega, swapped).entries).sum(axis=0)
+    return np.conj(d_matrix(omega, swapped)).sum(axis=0)
 
 
 def _theta_sum(x: complex, trunc: int) -> complex:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .siegel import (
-    LatticeCharge, ModularMatrix, checked_modulus, modular_transform_charge, modular_transform_tau
+    LatticeCharge, ModularMatrix, charge_box, checked_modulus, modular_transform_charge,
+    modular_transform_tau,
 )
 
 DEFAULT_ETA_TERMS = 64
@@ -162,10 +163,6 @@ def dedekind_eta(tau: complex, terms: int = DEFAULT_ETA_TERMS) -> complex:
 def spectrum_table(tau: complex, max_component: int) -> list:
     """All spectrum entries with |n|, |m| <= max_component, sorted by
     (n^2 + m^2, n, m) so the output is deterministic."""
-    charges = [
-        (n, m)
-        for n in range(-max_component, max_component + 1)
-        for m in range(-max_component, max_component + 1)
-    ]
+    charges = charge_box(2, max_component).tolist()
     charges.sort(key=lambda nm: (nm[0] ** 2 + nm[1] ** 2, nm[0], nm[1]))
     return [torus_eigenvalue(tau, n, m) for n, m in charges]

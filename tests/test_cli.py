@@ -5,7 +5,7 @@ import pytest
 
 from conftest import run_cli
 
-from specialperiods import ParseError, report
+from specialperiods import ParseError, report, torus_eigenvalue
 from specialperiods.matrixio import (
     format_complex,
     format_matrix,
@@ -100,6 +100,17 @@ def test_cli_torus_fd():
         if row[0] == "0" and row[1] == "0":
             continue
         assert float(row[5]) > 3.5  # second-order convergence ratio
+
+
+def test_cli_tau_with_negative_real_part():
+    # the "=" form; the space form exits 2 (test_cli_bad_flags_exit_2)
+    code, out = run_cli(["torus-fd", "--tau=-0.3+0.7i", "--max", "1", "--resolution", "16"])
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert len(rows) == 9
+    for n, m, lam, *_ in rows:
+        expected = torus_eigenvalue(-0.3 + 0.7j, int(n), int(m)).lam
+        assert float(lam) == pytest.approx(expected, rel=1e-14)
 
 
 def test_cli_search_output(fixture_matrix_path):
@@ -321,6 +332,7 @@ _G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--
         ["search", "MATRIX", *_WORKED, "--threads", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "2"],  # the search has no thread pool
         ["search", "MATRIX", "--base", "-1,-1;-1,-2"],  # a leading "-" needs --base=-1,...
+        ["torus-fd", "--tau", "-0.3+0.7i", "--max", "1"],  # and --tau=-0.3+0.7i
         ["torus", "--tau", "1+i2"],
         ["construct-g2", *_G2, "--M", "1/0", "--out", "OUT"],
         ["construct-g2", *_G2, "--M", "1", "--out", "MISSING/g2.mat"],

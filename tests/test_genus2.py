@@ -14,7 +14,6 @@ from specialperiods import (
     build_special_genus2,
     consistency_ratios,
     gamma_complete,
-    gamma_lattice,
     gamma_members,
     genus2_eigenvalue_family,
     solve_c,
@@ -76,14 +75,6 @@ def test_gamma_complete_examples(worked_params):
     assert gamma_complete(worked_params, "-", 2, 1) == LatticeCharge((2, -1), (1, -1))
     with pytest.raises(ValueError):
         gamma_complete(worked_params, "x", 1, 1)
-
-
-def test_gamma_lattice_membership(worked_params):
-    plus = gamma_lattice(worked_params, "+")
-    minus = gamma_lattice(worked_params, "-")
-    assert plus.contains(1, 1)
-    assert minus.contains(2, 1)
-    assert not minus.contains(1, 1)
 
 
 def test_gamma_members_box(worked_params):

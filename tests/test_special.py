@@ -192,6 +192,14 @@ def test_cover_monodromy_worked_case(worked_case):
     assert value == 0 and coords == (0, 0)
 
 
+def test_cover_monodromy_rejects_a_record_without_cover(worked_case):
+    _, omega, base = worked_case
+    collinear = solution_record(omega, base, LatticeCharge((2, 2), (2, 4)), tol=1e-9)
+    assert collinear.classification == "collinear-rational"
+    with pytest.raises(NotIntegralDegree):
+        cover_monodromy(omega, base, collinear, CyclePair(q=(0, 0), p=(1, 0)))
+
+
 def test_cover_data_all_cycles(worked_case):
     _, omega, base = worked_case
     for record in search_solutions(omega, base, bound=2, tol=1e-9):
