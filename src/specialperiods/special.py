@@ -4,10 +4,10 @@ A probe charge (n', m') solves the proportionality problem for a base
 charge (n, m) when their complex images m - Omega n agree up to one scale
 factor.  Nonreal scale factors are the interesting case: they exhibit the
 surface as a branched cover of a torus and give the Jacobian complex
-multiplication.  The box search enumerates all probes up to a bound,
+multiplication.  The box search finds all such probes up to a bound and
 records the scale factor, eigenvalues, covering degree, and a
-classification, scanning the box in order in one thread, so a run's records
-are reproducible.
+classification, scanning only the integer points near the plane of solutions,
+in one thread, so a run's records are reproducible.
 
 Every record takes one path, whether it comes from the box search or from a
 single probe (``solution_record``, ``solve_c``): the acceptance kernel
@@ -18,6 +18,7 @@ record builder ``_record``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -93,10 +94,7 @@ def _scan_rows(omega, v, rows: np.ndarray):
     """The acceptance kernel: conjugate scale factor and residual of each probe.
 
     The residual max_j |v'_j - cbar v_j| is normalized by max_j |v_j| so the
-    tolerance is scale free.  The ``n @ Omega`` product may round differently
-    for one row than for a block of rows, so a probe checked alone and the same
-    probe in a search can differ in rounding noise; see
-    ``tests/test_record_path.py::test_block_and_single_row_kernels_agree_to_rounding``.
+    tolerance is scale free.
     """
     h = omega.genus
     n_part = rows[:, :h].astype(float)
@@ -121,7 +119,8 @@ def _accept_probe(omega, base: LatticeCharge, probe: LatticeCharge, tol: float) 
     if probe.is_zero:
         raise NotASolution("the zero probe is degenerate")
     v = base_image(omega, base)
-    cbars, residuals = _scan_rows(omega, v, np.array([probe.n + probe.m]))
+    # with its negation: numpy's product of one row rounds unlike a search's block
+    cbars, residuals = _scan_rows(omega, v, np.array([probe.n + probe.m, (-probe).n + (-probe).m]))
     if not residuals[0] <= tol:
         raise NotASolution(
             "probe image is not proportional to the base image (residual %.3e)" % residuals[0]
@@ -196,92 +195,92 @@ def solution_record(
     return _record(omega, base, probe, _accept_probe(omega, base, probe, tol), tol)
 
 
-def _block_screen(omega, v, bound: int, tol: float, tail: np.ndarray):
-    """Predicate on box prefixes that is False only for blocks the kernel rejects whole.
+def _plane_rows(omega, v, bound: int, tol: float):
+    """Sorted rows of the box that include every row the kernel accepts, or None.
 
     The kernel accepts a row x when every component of its defect
-    D(x) = image(x) - (image_a(x) / v_a) v, with a = argmax |v|, is at most
-    tol max|v|.  D is real-linear in x, so with ``lin`` the defects of the 2h
-    unit charges, D(prefix + t) = prefix @ lin[:split] + t @ lin[split:].  The
-    tail rows are sorted once by the real part of that second term in one
-    non-anchor column j0; for each prefix a binary search gives the tail rows
-    whose |Re D_j0| can be within ``limit``, and the block may hold a record
-    only if one of them has every |D_j| within ``limit``.  Returns None when
-    nothing may be skipped: at genus one, where j0 does not exist, and when a
-    magnitude in the bound below is not finite.
+    D(x) = image(x) - (image_a(x) / v_a) v, with a = argmax |v|, is at most tol max|v|.
+    The real and imaginary parts of the other h - 1 components are K x, with K of rank
+    2h - 2, so exact solutions form a real 2-plane.  The 2 free coordinates are those whose
+    complement K_d (columns scaled alike) has the largest smallest singular value; each
+    free pair leaves every dependent coordinate of an accepted row in a short interval.
+    None at genus one, where K is empty, or if a magnitude in the bound below is not finite.
     """
     h = omega.genus
     if h == 1:
         return None
     anchor = int(np.argmax(np.abs(v)))
-    j0 = (anchor + 1) % h
     # images of the unit charges: the rows of -Omega for n, of the identity for m
     units = np.concatenate([-omega.entries, np.eye(h)])
-    lin = units - (units[:, anchor] / v[anchor])[:, None] * v[None, :]
-    # Rounding.  With mag = sum_i max_j |image_j(e_i)| and |x_i| <= bound, every
-    # image, cbar v_j and defect the kernel or this screen computes is at most
-    # 2 bound mag in modulus (|v_j / v_a| <= 1), and each is a sum of at most
-    # 2h + 2 rounded terms.  So, to first order in eps and counting the complex
-    # products and the division (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 3.1 and 3.6), the kernel's max_j |image_j - cbar v_j| is
-    # within (1.5h + 10) eps bound mag of max_j |D_j| and the screen's defect
-    # x @ lin within (3h + 8) eps bound mag; 64h eps bound mag bounds their sum
-    # for every h >= 1 with room for the second-order terms.  Underflow adds at
-    # most eps tiny per operation; the factor 1 + 4 eps covers rounding in the
-    # comparisons and in tol max|v| (the kernel tests fl(max / scale) <= tol).
-    # Every magnitude stays below 4 bound mag, so nothing overflows if that is
-    # finite.
+    lin = np.delete(units - (units[:, anchor] / v[anchor])[:, None] * v[None, :], anchor, axis=1)
+    # Rounding.  With mag = sum_i max_j |image_j(e_i)| and |x_i| <= bound, every image,
+    # cbar v_j and defect is at most 2 bound mag in modulus and a sum of at most 2h + 2
+    # rounded terms, so (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and
+    # 3.6) the kernel's max_j |image_j - cbar v_j| is within (1.5h + 10) eps bound mag of
+    # max_j |D_j|, and x @ lin, exact on the computed lin, within (3h + 8) eps bound mag;
+    # 64h eps bound mag bounds their sum with room for second-order terms.  Underflow adds
+    # at most eps tiny per operation, and 1 + 4 eps covers the comparisons and tol max|v|.
+    # So every accepted x has |K x| <= limit, and nothing overflows if 4 bound mag is finite.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     mag = float(np.abs(units).max(axis=1).sum())
     limit = (tol * np.max(np.abs(v)) + 64 * h * eps * (bound * mag + tiny)) * (1 + 4 * eps)
     if not (np.isfinite(lin).all() and np.isfinite([limit, 4 * bound * mag]).all()):
         return None
-    split = 2 * h - tail.shape[1]
-    head, body = lin[:split], lin[split:]
-    head_j0 = head[:, j0].real.tolist()
-    keys = tail @ body[:, j0].real
-    order = np.argsort(keys)
-    keys = keys[order]
-    zero = len(tail) // 2
-
-    def may_hold(prefix) -> bool:
-        centre = -sum(p * c for p, c in zip(prefix, head_j0))
-        lo, hi = keys.searchsorted(centre - limit, "left"), keys.searchsorted(centre + limit, "right")
-        rows = order[lo:hi]
-        if not any(prefix):
-            rows = rows[rows != zero]  # the zero probe is not scanned
-        if not len(rows):
-            return False
-        defects = np.asarray(prefix, dtype=float) @ head + tail[rows] @ body
-        return bool((np.abs(defects) <= limit).all(axis=1).any())
-
-    return may_hold
+    k = np.concatenate([lin.real.T, lin.imag.T])
+    scaled = k / np.maximum(np.abs(k).max(axis=0), tiny)  # n and m columns differ in scale by |Omega|
+    pairs = itertools.combinations(range(2 * h), 2)
+    free = list(max(pairs, key=lambda f: np.linalg.svd(np.delete(scaled, f, axis=1), compute_uv=False)[-1]))
+    dep = [i for i in range(2 * h) if i not in free]
+    # For any Z, x_d = Z (K x - K_f x_f) + (I - Z K_d) x_d.  With W = fl(Z K_f) and
+    # P = fl(Z K_d), dot products of 2h - 2 terms, x_d lies within |Z| 1 limit +
+    # bound (|I - P| 1 + h eps |Z| |K| 1) of -W x_f, which two products and a sum give
+    # within 2 eps bound |W| 1 + tiny; this needs no conditioning estimate.  Each
+    # magnitude sums at most 4h nonnegative rounded terms, so 1 + 8h eps lifts the radius
+    # above the exact one; |W x_f| <= 2 reach, and the ends are rounded outward.
+    z = np.linalg.inv(k[:, dep])
+    w = z @ k[:, free]
+    reach = bound * np.abs(w).sum(axis=1)
+    slack = np.abs(np.eye(2 * h - 2) - z @ k[:, dep]).sum(axis=1) + h * eps * (np.abs(z) @ np.abs(k).sum(axis=1))
+    radius = (np.abs(z).sum(axis=1) * limit + bound * (slack + tiny) + 2 * eps * reach) * (1 + 8 * h * eps)
+    if not np.isfinite(radius + 2 * reach).all():
+        return None
+    found = []
+    prefixes, tail = box_blocks(2, bound)
+    for prefix in prefixes:
+        rows, _ = box_block(prefix, tail)
+        centre = -(rows[:, :1] * w[:, 0] + rows[:, 1:] * w[:, 1])
+        lo = np.ceil(np.maximum(np.nextafter(centre - radius, -np.inf), -bound)).astype(np.int64)
+        hi = np.floor(np.minimum(np.nextafter(centre + radius, np.inf), bound)).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        for j in range(2 * h - 2):  # append every integer of dep[j]'s interval to each row
+            n = counts[:, j]
+            offsets = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            rows = np.column_stack([np.repeat(rows, n, axis=0), np.repeat(lo[:, j], n) + offsets])
+            lo, counts = np.repeat(lo, n, axis=0), np.repeat(counts, n, axis=0)
+        found.append(rows[:, np.argsort(free + dep)])
+    rows = np.concatenate(found)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> list:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
-    The box is scanned one block of at most ``siegel.BLOCK_ROWS`` rows at a
-    time, so memory does not grow with the bound.  Blocks that
-    ``_block_screen`` proves to hold no accepted row are skipped; every other
-    block goes whole through the kernel, so the records do not depend on the
-    screen.  Records are returned sorted lexicographically by (n', m'), the
-    order of the blocks and of the rows within each.
+    The kernel scans the rows of ``_plane_rows`` in one call or, where that is
+    None, the box in blocks of at most ``siegel.BLOCK_ROWS`` rows; either way it
+    decides every record, and memory does not grow with the bound.  Records
+    are sorted lexicographically by (n', m').
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     v = base_image(omega, base)
     h = omega.genus
-    prefixes, tail = box_blocks(2 * h, bound)
-    may_hold = _block_screen(omega, v, bound, tol, tail)
-    if may_hold is not None:
-        prefixes = filter(may_hold, prefixes)
+    blocks = [_plane_rows(omega, v, bound, tol)]
+    if blocks[0] is None:
+        prefixes, tail = box_blocks(2 * h, bound)
+        blocks = (box_block(prefix, tail)[0] for prefix in prefixes)
     records = []
-    for prefix in prefixes:
-        rows, zero = box_block(prefix, tail)
-        if zero is not None:
-            rows = np.delete(rows, zero, axis=0)
-        for flat, cbar in _accepted(omega, v, rows, tol):
+    for rows in blocks:
+        for flat, cbar in _accepted(omega, v, rows[rows.any(axis=1)], tol):
             probe = LatticeCharge(flat[:h], flat[h:])
             records.append(_record(omega, base, probe, cbar, tol))
     return records

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from specialperiods import (
@@ -17,7 +19,7 @@ from specialperiods import (
     siegel,
     special,
 )
-from specialperiods.errors import DomainError
+from specialperiods.errors import SpecialPeriodsError
 from specialperiods.matrixio import write_period_matrix
 from specialperiods.report import positivity_sweep
 from specialperiods.siegel import box_block, box_blocks, charge_box, validate_period_matrix
@@ -73,10 +75,12 @@ def test_blocks_concatenate_to_the_box(monkeypatch, block_rows, dim, bound):
 
 def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_case):
     # genus 1 at bound 3: 49 rows fit in one block, whose prefix is empty
-    omega = random_siegel_point(1, 0)
+    omega, base = random_siegel_point(1, 0), LatticeCharge((1,), (0,))
     prefixes, tail = box_blocks(2, 3)
     assert list(prefixes) == [()]
-    assert len(search_solutions(omega, LatticeCharge((1,), (0,)), 3, 1e-9)) == 49 - 1
+    # genus one has no dependent coordinate, so the search scans the box
+    assert special._plane_rows(omega, special.base_image(omega, base), 3, 1e-9) is None
+    assert len(search_solutions(omega, base, 3, 1e-9)) == 49 - 1
     # genus 2 at bound 2 in blocks of 5 rows: only the middle block holds zero
     monkeypatch.setattr(siegel, "BLOCK_ROWS", 5)
     _, omega, base = worked_case
@@ -157,13 +161,11 @@ def _search_peak_bytes(omega, base, bound):
 
 
 def test_search_memory_does_not_grow_with_the_bound():
+    # bound 200 is a box of 2.6e10 rows; its 401^2 free pairs are streamed in blocks
     omega = random_siegel_point(2, 3)
     base = _unit_base(2, 3)
-    # bound 5 is one block of 14,641 rows; bound 12 is 25 blocks of 15,625
-    small = _search_peak_bytes(omega, base, 5)
-    large = _search_peak_bytes(omega, base, 12)
-    assert large < 2 * small
-    assert large < 8 * 2**20
+    for bound in (5, 12, 200):
+        assert _search_peak_bytes(omega, base, bound) < 8 * 2**20
 
 
 def _nonzero_blocks(dim, bound):
@@ -174,8 +176,8 @@ def _nonzero_blocks(dim, bound):
         yield prefix, rows if zero is None else np.delete(rows, zero, axis=0)
 
 
-def _unscreened(omega, base, bound, tol):
-    """The search with no block screen, as the oracle: every block goes through the kernel."""
+def _box_scan(omega, base, bound, tol):
+    """The search over the whole box, as the oracle: every block goes through the kernel."""
     v, h = special.base_image(omega, base), omega.genus
     records = []
     for _, rows in _nonzero_blocks(2 * h, bound):
@@ -187,8 +189,8 @@ def _unscreened(omega, base, bound, tol):
 def _outcome(search, omega, base, bound, tol):
     try:
         return repr(search(omega, base, bound, tol))
-    except DomainError as exc:
-        return "DomainError: %s" % exc
+    except SpecialPeriodsError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 TIED = [
@@ -231,69 +233,78 @@ def test_screened_search_equals_the_unscreened_one(monkeypatch, worked_case, nam
         monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
     omega, base = _screen_case(name, worked_case)
     records = search_solutions(omega, base, bound, tol)
-    assert repr(records) == repr(_unscreened(omega, base, bound, tol))
+    assert repr(records) == repr(_box_scan(omega, base, bound, tol))
     assert records
 
 
-def _passing_prefixes(omega, base, bound, tol):
-    v = special.base_image(omega, base)
-    prefixes, tail = box_blocks(2 * omega.genus, bound)
-    may_hold = special._block_screen(omega, v, bound, tol, tail)
-    return None if may_hold is None else [p for p in prefixes if may_hold(p)], tail.shape[1]
-
-
-@pytest.mark.parametrize("name", ["seeded-2", "seeded-3", "seeded-4", "bench-g3", "tied-0"])
-def test_screen_passes_only_blocks_with_records(monkeypatch, worked_case, name):
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", 125)
-    omega, base = _screen_case(name, worked_case)
-    passing, k = _passing_prefixes(omega, base, 2, 1e-9)
-    flats = [r.probe.n + r.probe.m for r in search_solutions(omega, base, 2, 1e-9)]
-    assert passing == sorted({flat[: len(flat) - k] for flat in flats})
-
-
-def test_genus_one_is_not_screened():
-    omega = random_siegel_point(1, 0)
-    assert _passing_prefixes(omega, LatticeCharge((1,), (0,)), 3, 1e-9)[0] is None
-
-
 def _block_residuals(omega, base, bound):
-    """(prefix, kernel residual) of every nonzero box row, each computed within its own block."""
+    """(row, kernel residual) of every nonzero box row, each computed within its own block."""
     v = special.base_image(omega, base)
     return [
-        (prefix, r)
-        for prefix, rows in _nonzero_blocks(2 * omega.genus, bound)
-        for r in special._scan_rows(omega, v, rows)[1]
+        (tuple(row), r)
+        for _, rows in _nonzero_blocks(2 * omega.genus, bound)
+        for row, r in zip(rows.tolist(), special._scan_rows(omega, v, rows)[1])
     ]
 
 
 @pytest.mark.parametrize("name,bound", [("worked", 4), ("seeded-3", 2), ("tied-2", 4), ("bench-g3", 3)])
 def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound):
     # tol equal to a row's own kernel residual: the kernel accepts that row, so
-    # the screen must pass its block although the screen's defect rounds differently
+    # the plane must yield it although the plane's bound rounds differently
     monkeypatch.setattr(siegel, "BLOCK_ROWS", 125)
     omega, base = _screen_case(name, worked_case)
+    v = special.base_image(omega, base)
     pairs = _block_residuals(omega, base, bound)
     residuals = np.array([r for _, r in pairs])
     accepted = np.unique(residuals[residuals <= 1e-9])
     rejected = np.unique(residuals[residuals > 1e-9])
     for tol in map(float, [*accepted[-4:], *accepted[accepted > 0][:2], *rejected[:3]]):
-        passing, _ = _passing_prefixes(omega, base, bound, tol)
-        assert {prefix for prefix, r in pairs if r <= tol} <= set(passing)
+        candidates = set(map(tuple, special._plane_rows(omega, v, bound, tol).tolist()))
+        assert {row for row, r in pairs if r <= tol} <= candidates
         if tol <= 1e-9:
             # beyond it false positives may fail cover_degree (ROADMAP item 3)
             records = search_solutions(omega, base, bound, tol)
-            assert repr(records) == repr(_unscreened(omega, base, bound, tol))
+            assert repr(records) == repr(_box_scan(omega, base, bound, tol))
             assert len(records) == np.count_nonzero(residuals <= tol)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e300, 1e307])
 def test_screen_on_huge_entries(monkeypatch, scale):
-    # the screen stays on while 4 bound mag is finite, and switches off beyond
+    # the plane is enumerated while 4 bound mag is finite, and the box scanned beyond
     monkeypatch.setattr(siegel, "BLOCK_ROWS", 125)
     omega = validate_period_matrix(random_siegel_point(3, 0).entries * scale)
     base = LatticeCharge((1, -1, -1), (0, -1, 0))
-    assert (_passing_prefixes(omega, base, 2, 1e-9)[0] is None) == (scale > 1e306)
+    v = special.base_image(omega, base)
+    assert (special._plane_rows(omega, v, 2, 1e-9) is None) == (scale > 1e306)
     outcome = _outcome(search_solutions, omega, base, 2, 1e-9)
-    assert outcome == _outcome(_unscreened, omega, base, 2, 1e-9)
+    assert outcome == _outcome(_box_scan, omega, base, 2, 1e-9)
     assert outcome.startswith("DomainError") == (scale > 1e154)
+
+
+@st.composite
+def _oracle_cases(draw):
+    h = draw(st.integers(2, 4))
+    if h == 2 and draw(st.booleans()):
+        omega, base = _screen_case("tied-%d" % draw(st.integers(0, len(TIED) - 1)), None)
+    else:
+        seed = draw(st.integers(0, 10**6))
+        omega, base = random_siegel_point(h, seed), _unit_base(h, seed)
+    return omega, base, draw(st.integers(1, 3)), draw(st.sampled_from([1e-9, 5e-2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_oracle_cases())
+def test_search_equals_the_box_scan(case):
+    omega, base, bound, tol = case
+    assert _outcome(search_solutions, omega, base, bound, tol) == _outcome(_box_scan, omega, base, bound, tol)
+
+
+@pytest.mark.parametrize("h,seed", [(2, 2), (3, 7)])
+def test_plane_with_columns_of_unlike_scale(h, seed):
+    # the n columns of K grow with |Omega| and the m columns do not; on the raw
+    # columns the largest smallest singular value picked a singular K_d here
+    omega = validate_period_matrix(random_siegel_point(h, seed).entries * 1e100)
+    base = _unit_base(h, seed)
+    assert special._plane_rows(omega, special.base_image(omega, base), 2, 1e-9) is not None
+    assert _outcome(search_solutions, omega, base, 2, 1e-9) == _outcome(_box_scan, omega, base, 2, 1e-9)
