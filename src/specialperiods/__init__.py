@@ -20,7 +20,6 @@ from .errors import (
     NotIntegralDegree,
     NotPositiveDefinite,
     ParseError,
-    SnapError,
     SpecialPeriodsError,
 )
 from .genus2 import (

@@ -21,10 +21,6 @@ class DegenerateCharge(SpecialPeriodsError):
     """The zero charge was used where a nonzero one is required."""
 
 
-class SnapError(SpecialPeriodsError):
-    """A quantity expected on the integer-multiples-of-pi lattice is not there."""
-
-
 class DegenerateBase(SpecialPeriodsError):
     """Some component of the base charge image vanishes; ratios are undefined."""
 
@@ -38,7 +34,7 @@ class LatticeDefect(SpecialPeriodsError):
 
 
 class NotIntegralDegree(SpecialPeriodsError):
-    """The covering-degree ratio is not a positive integer within tolerance."""
+    """The record has no torus cover, or its covering degree is not positive."""
 
 
 class ConvergenceDomain(SpecialPeriodsError):

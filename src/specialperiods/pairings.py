@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .differentials import lattice_image, period_of, primitive_coeffs
-from .errors import DegenerateCharge, SnapError
+from .errors import DegenerateCharge
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
-
-_SNAP_TOL = 1e-8
 
 
 def _unit_cycles(h: int):
@@ -77,17 +75,11 @@ def real_product(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float
 def monodromy_factor(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> float:
     """Real multiplier picked up around a cycle: exp of the Hermitian product.
 
-    The imaginary part of the exponent must sit on pi * Z; it is snapped to
-    the nearest multiple before exponentiation so the result is exactly real.
+    The imaginary part of the exponent is pi times the integer pairing, so
+    the factor is exp(Re) with the sign of that pairing's parity, exactly real.
     """
-    exponent = herm_product(omega, nm, qp)
-    k = round(exponent.imag / np.pi)
-    if abs(exponent.imag - k * np.pi) > _SNAP_TOL:
-        raise SnapError(
-            "exponent imaginary part %.6e is not a multiple of pi" % exponent.imag
-        )
-    sign = -1.0 if k % 2 else 1.0
-    return float(np.exp(exponent.real) * sign)
+    sign = -1.0 if integer_defect(nm, qp) % 2 else 1.0
+    return float(np.exp(herm_product(omega, nm, qp).real) * sign)
 
 
 def wedge_integrals(omega: PeriodMatrix, ca, cb):

@@ -20,7 +20,7 @@ from .differentials import coeff_rows, periods
 from .pairings import (
     bilinear, duality_vectors, herm_products, integer_pairings, real_products, wedge_integrals
 )
-from .siegel import PeriodMatrix, box_block, box_blocks
+from .siegel import PeriodMatrix, box_blocks
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,8 @@ def positivity_sweep(omega: PeriodMatrix, bound: int):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     h = omega.genus
-    prefixes, tail = box_blocks(2 * h, bound)
     minimum = np.inf
-    for prefix in prefixes:
-        rows, zero = box_block(prefix, tail)
+    for rows, zero in box_blocks(2 * h, bound):
         n_part = rows[:, :h].astype(float)
         m_part = rows[:, h:].astype(float)
         values = real_products(omega, n_part, m_part, n_part, m_part)

@@ -125,29 +125,23 @@ def charge_box(dim: int, bound: int) -> np.ndarray:
 def box_blocks(dim: int, bound: int):
     """The box [-bound, bound]^dim as blocks of at most BLOCK_ROWS rows.
 
-    Returns ``(prefixes, tail)``: an iterator over the leading ``dim - k``
-    coordinates in lexicographic order and ``tail = charge_box(k, bound)``,
-    with k the largest value such that ``(2 bound + 1)^k <= BLOCK_ROWS``, and
-    at least 1.  Concatenating ``box_block(prefix, tail)`` over the prefixes
-    gives ``charge_box(dim, bound)`` one block at a time.
+    Yields ``(rows, zero)`` in lexicographic order.  Each block fixes the
+    leading ``dim - k`` coordinates and runs over ``charge_box(k, bound)`` in
+    the rest, with k the largest value such that ``(2 bound + 1)^k <=
+    BLOCK_ROWS``, and at least 1; the blocks concatenate to
+    ``charge_box(dim, bound)``.  ``zero`` is the index of the zero row, the
+    middle row of the middle block, and None in every other block.
     """
     width = 2 * bound + 1
     k = 1
     while k < dim and width ** (k + 1) <= BLOCK_ROWS:
         k += 1
-    prefixes = itertools.product(range(-bound, bound + 1), repeat=dim - k)
-    return prefixes, charge_box(k, bound)
-
-
-def box_block(prefix: tuple, tail: np.ndarray):
-    """The rows ``prefix + t`` for every tail row t, and the index of the zero row.
-
-    The index is None unless the prefix is zero; then it is the middle row.
-    """
-    rows = np.empty((len(tail), len(prefix) + tail.shape[1]), dtype=np.int64)
-    rows[:, : len(prefix)] = prefix
-    rows[:, len(prefix) :] = tail
-    return rows, None if any(prefix) else len(tail) // 2
+    tail = charge_box(k, bound)
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=dim - k):
+        rows = np.empty((len(tail), dim), dtype=np.int64)
+        rows[:, : dim - k] = prefix
+        rows[:, dim - k :] = tail
+        yield rows, None if any(prefix) else len(tail) // 2
 
 
 def random_siegel_point(h: int, seed: int) -> PeriodMatrix:

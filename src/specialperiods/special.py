@@ -34,14 +34,13 @@ from .errors import (
     NotIntegralDegree,
 )
 from .pairings import _unit_cycles, area, integer_defect
-from .siegel import CyclePair, LatticeCharge, PeriodMatrix, box_block, box_blocks
+from .siegel import CyclePair, LatticeCharge, PeriodMatrix, box_blocks
 
 COLLINEAR_RATIONAL = "collinear-rational"
 SPECIAL_COMPLEX = "special-complex"
 DEGENERATE = "degenerate"
 
 _BASE_EPS = 1e-14
-_DEGREE_TOL = 1e-8
 _MONODROMY_TOL = 1e-9
 
 
@@ -245,9 +244,7 @@ def _plane_rows(omega, v, bound: int, tol: float):
     if not np.isfinite(radius + 2 * reach).all():
         return None
     found = []
-    prefixes, tail = box_blocks(2, bound)
-    for prefix in prefixes:
-        rows, _ = box_block(prefix, tail)
+    for rows, _ in box_blocks(2, bound):
         centre = -(rows[:, :1] * w[:, 0] + rows[:, 1:] * w[:, 1])
         lo = np.ceil(np.maximum(np.nextafter(centre - radius, -np.inf), -bound)).astype(np.int64)
         hi = np.floor(np.minimum(np.nextafter(centre + radius, np.inf), bound)).astype(np.int64)
@@ -276,8 +273,7 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     h = omega.genus
     blocks = [_plane_rows(omega, v, bound, tol)]
     if blocks[0] is None:
-        prefixes, tail = box_blocks(2 * h, bound)
-        blocks = (box_block(prefix, tail)[0] for prefix in prefixes)
+        blocks = (rows for rows, _ in box_blocks(2 * h, bound))
     records = []
     for rows in blocks:
         for flat, cbar in _accepted(omega, v, rows[rows.any(axis=1)], tol):
@@ -286,15 +282,19 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     return records
 
 
-def _cover_vector(base: LatticeCharge, record: SolutionRecord) -> np.ndarray:
-    """Coefficients of the differential realizing the torus map.
+def _cover_probe(record: SolutionRecord) -> LatticeCharge:
+    """Effective probe of a record with a torus cover.
 
     Only a special-complex record has a torus cover; any other raises.
     """
     if record.classification != SPECIAL_COMPLEX:
         raise NotIntegralDegree("no torus cover for a %s record" % record.classification)
-    effective = record.effective_probe
-    return record.c_conj * base.n_vec - effective.n_vec
+    return record.effective_probe
+
+
+def _cover_vector(base: LatticeCharge, record: SolutionRecord) -> np.ndarray:
+    """Coefficients of the differential realizing the torus map."""
+    return record.c_conj * base.n_vec - _cover_probe(record).n_vec
 
 
 def cover_monodromy(
@@ -321,18 +321,19 @@ def cover_monodromy(
     return value, (const, slope)
 
 
-def _raw_degree(omega: PeriodMatrix, u: np.ndarray, record: SolutionRecord) -> float:
-    """Area ratio of the two flat metrics; an integer for a genuine cover."""
-    return float(np.real(u @ omega.imag_part @ np.conj(u)) / record.c_conj.imag)
-
-
 def cover_degree(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> int:
-    """Number of sheets of the torus cover: area ratio of the two flat metrics."""
-    raw = _raw_degree(omega, _cover_vector(base, record), record)
-    rounded = int(round(raw))
-    if abs(raw - rounded) > _DEGREE_TOL or rounded < 1:
-        raise NotIntegralDegree("degree %.12f is not a positive integer" % raw)
-    return rounded
+    """Number of sheets of the torus cover: the symplectic pairing n.m' - n'.m
+    of the base (n, m) and the effective probe (n', m').
+
+    With u = conj(c) n - n', proportionality Omega u = conj(c) m - m' gives
+    u* Im(Omega) u = Im(conj c) (n.m' - n'.m), so the pairing is the area ratio
+    ``cover_data(...).degree_raw``, read exactly from the integers.
+    """
+    effective = _cover_probe(record)
+    degree = sum(n * m for n, m in zip(base.n, effective.m)) - sum(n * m for n, m in zip(effective.n, base.m))
+    if degree < 1:
+        raise NotIntegralDegree("degree %d is not a positive integer" % degree)
+    return degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +351,8 @@ class CoverData:
 def cover_data(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecord) -> CoverData:
     """Assemble the covering map data over all 2h basis cycles."""
     u = _cover_vector(base, record)
-    raw = _raw_degree(omega, u, record)
+    # the area ratio of the two flat metrics, which certifies cover_degree's pairing
+    raw = float(np.real(u @ omega.imag_part @ np.conj(u)) / record.c_conj.imag)
     table = []
     for beta, alpha in _unit_cycles(omega.genus):
         for cycle in (alpha, beta):

@@ -229,6 +229,17 @@ def test_cli_cm_check(fixture_matrix_path):
     assert code == 1  # not a solution
 
 
+def test_cli_cm_check_degree_of_a_large_probe(tmp_path):
+    # the area ratio is 300000006.99999994 in floating point; the pairing is exact
+    mat = tmp_path / "torus.mat"
+    mat.write_text("genus 1\n0.3+1.7i\n")
+    code, out = run_cli(
+        ["cm-check", str(mat), "--base", "1;0", "--probe", "300000000;300000007", "--tol", "1e-6"]
+    )
+    assert code == 0
+    assert "degree 300000007" in out.splitlines()
+
+
 def test_cli_psf_check(tmp_path):
     mat = tmp_path / "torus.mat"
     mat.write_text("genus 1\n0+1i\n")

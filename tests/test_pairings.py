@@ -66,6 +66,14 @@ def test_monodromy_factor_examples():
     assert monodromy_factor(omega, LatticeCharge((0,), (0,)), CyclePair((2,), (5,))) == 1.0
 
 
+def test_monodromy_factor_sign_is_the_parity_of_the_pairing():
+    # the pairing 2k^2 + 2k + 1 is odd; pi times it is too large for its parity to survive in floats
+    k = 10**8
+    nm, qp = LatticeCharge((k,), (k + 1,)), CyclePair((k + 1,), (k,))
+    assert pairings.integer_defect(nm, qp) == 2 * k * k + 2 * k + 1
+    assert monodromy_factor(PeriodMatrix.from_tau(1j), nm, qp) == -1.0
+
+
 def test_monodromy_factor_is_real_on_random_data():
     rng = np.random.default_rng(3)
     omega = random_siegel_point(2, seed=5)

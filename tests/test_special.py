@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,9 @@ def test_cover_degree_examples(worked_case):
     base1 = LatticeCharge((0,), (1,))
     record1 = solution_record(omega1, base1, LatticeCharge((1,), (0,)), tol=1e-9)
     assert cover_degree(omega1, base1, record1) == 1
+    # the unflipped probe pairs to -1 with the base: not a positive degree
+    with pytest.raises(NotIntegralDegree, match="degree -1 "):
+        cover_degree(omega1, base1, replace(record1, sign=-record1.sign))
     collinear = solution_record(omega, base, LatticeCharge((2, 2), (2, 4)), tol=1e-9)
     with pytest.raises(NotIntegralDegree):
         cover_degree(omega, base, collinear)

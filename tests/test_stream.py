@@ -19,18 +19,17 @@ from specialperiods import (
     siegel,
     special,
 )
-from specialperiods.errors import SpecialPeriodsError
+from specialperiods.errors import LatticeDefect, SpecialPeriodsError
 from specialperiods.matrixio import write_period_matrix
 from specialperiods.report import positivity_sweep
-from specialperiods.siegel import box_block, box_blocks, charge_box, validate_period_matrix
+from specialperiods.siegel import box_blocks, charge_box, validate_period_matrix
 from test_record_path import _unit_base
 
 BLOCK_SIZES = (1, 7, 121, siegel.BLOCK_ROWS)
 
 
 def _streamed(dim, bound):
-    prefixes, tail = box_blocks(dim, bound)
-    return [box_block(prefix, tail) for prefix in prefixes]
+    return list(box_blocks(dim, bound))
 
 
 def _full_box_sweep(omega, bound):
@@ -76,8 +75,9 @@ def test_blocks_concatenate_to_the_box(monkeypatch, block_rows, dim, bound):
 def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_case):
     # genus 1 at bound 3: 49 rows fit in one block, whose prefix is empty
     omega, base = random_siegel_point(1, 0), LatticeCharge((1,), (0,))
-    prefixes, tail = box_blocks(2, 3)
-    assert list(prefixes) == [()]
+    [(rows, zero)] = _streamed(2, 3)
+    np.testing.assert_array_equal(rows, charge_box(2, 3))
+    assert zero == 49 // 2
     # genus one has no dependent coordinate, so the search scans the box
     assert special._plane_rows(omega, special.base_image(omega, base), 3, 1e-9) is None
     assert len(search_solutions(omega, base, 3, 1e-9)) == 49 - 1
@@ -169,18 +169,16 @@ def test_search_memory_does_not_grow_with_the_bound():
 
 
 def _nonzero_blocks(dim, bound):
-    """(prefix, rows) of every block of the box, without the zero row."""
-    prefixes, tail = box_blocks(dim, bound)
-    for prefix in prefixes:
-        rows, zero = box_block(prefix, tail)
-        yield prefix, rows if zero is None else np.delete(rows, zero, axis=0)
+    """The rows of every block of the box, without the zero row."""
+    for rows, zero in box_blocks(dim, bound):
+        yield rows if zero is None else np.delete(rows, zero, axis=0)
 
 
 def _box_scan(omega, base, bound, tol):
     """The search over the whole box, as the oracle: every block goes through the kernel."""
     v, h = special.base_image(omega, base), omega.genus
     records = []
-    for _, rows in _nonzero_blocks(2 * h, bound):
+    for rows in _nonzero_blocks(2 * h, bound):
         for flat, cbar in special._accepted(omega, v, rows, tol):
             records.append(special._record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol))
     return records
@@ -242,7 +240,7 @@ def _block_residuals(omega, base, bound):
     v = special.base_image(omega, base)
     return [
         (tuple(row), r)
-        for _, rows in _nonzero_blocks(2 * omega.genus, bound)
+        for rows in _nonzero_blocks(2 * omega.genus, bound)
         for row, r in zip(rows.tolist(), special._scan_rows(omega, v, rows)[1])
     ]
 
@@ -261,11 +259,23 @@ def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound)
     for tol in map(float, [*accepted[-4:], *accepted[accepted > 0][:2], *rejected[:3]]):
         candidates = set(map(tuple, special._plane_rows(omega, v, bound, tol).tolist()))
         assert {row for row, r in pairs if r <= tol} <= candidates
-        if tol <= 1e-9:
-            # beyond it false positives may fail cover_degree (ROADMAP item 3)
-            records = search_solutions(omega, base, bound, tol)
-            assert repr(records) == repr(_box_scan(omega, base, bound, tol))
-            assert len(records) == np.count_nonzero(residuals <= tol)
+        records = search_solutions(omega, base, bound, tol)
+        assert repr(records) == repr(_box_scan(omega, base, bound, tol))
+        assert len(records) == np.count_nonzero(residuals <= tol)
+
+
+def test_false_positives_keep_the_table(worked_case):
+    # tol just above the smallest rejected residual 0.07219: the special records are
+    # false positives whose area ratio (2.3377 for one) is not an integer; their degree
+    # is read from the pairing, and cover_data's monodromy check rejects them
+    omega, base = _screen_case("seeded-3", worked_case)
+    records = search_solutions(omega, base, 2, 0.0722)
+    specials = [r for r in records if r.classification == "special-complex"]
+    assert len(records) == 12 and specials
+    for record in specials:
+        assert record.degree == 2
+        with pytest.raises(LatticeDefect):
+            special.cover_data(omega, base, record)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -297,7 +307,19 @@ def _oracle_cases(draw):
 @given(case=_oracle_cases())
 def test_search_equals_the_box_scan(case):
     omega, base, bound, tol = case
-    assert _outcome(search_solutions, omega, base, bound, tol) == _outcome(_box_scan, omega, base, bound, tol)
+    outcome = _outcome(search_solutions, omega, base, bound, tol)
+    assert outcome == _outcome(_box_scan, omega, base, bound, tol)
+    if not outcome.startswith("["):
+        return
+    # the area ratio certifies the degree of every special record whose cover passes
+    for record in search_solutions(omega, base, bound, tol):
+        if record.classification != "special-complex":
+            continue
+        try:
+            raw = special.cover_data(omega, base, record).degree_raw
+        except LatticeDefect:
+            continue
+        assert abs(raw - record.degree) <= 1e-8 * record.degree
 
 
 @pytest.mark.parametrize("h,seed", [(2, 2), (3, 7)])
