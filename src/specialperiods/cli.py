@@ -1,7 +1,9 @@
 """Command-line front end: deterministic tables over matrix files.
 
-All tables are whitespace-delimited text with a '#' header line and numbers
-printed to 15 significant digits, so outputs are diffable across runs.  Exit
+All tables are whitespace-delimited text with a '#' header line.  Every
+stdout line is written by one writer, ``_row``, which prints ints in full and
+floats to 15 significant digits, so outputs are diffable across runs.  ``run``
+loads the matrix file, when the subcommand takes one, before its handler.  Exit
 codes: 0 success, 1 validation or math failure, 2 parse or configuration
 error.  Each flag is declared, converted, defaulted and range-checked once, in
 ``_build_parser``; a bad flag exits 2 with argparse's usage message.
@@ -46,91 +48,64 @@ class RunConfig:
         return 1
 
 
-def _fmt(x: float) -> str:
-    return "%.15g" % x
+def _row(out, *cols) -> None:
+    """Write one stdout line: strings as given, ints in full, floats as %.15g."""
+    out.write(" ".join(["%.15g" % c if isinstance(c, float) else str(c) for c in cols]) + "\n")
 
 
-def _print_kv(out, key, value):
-    out.write("%s %s\n" % (key, value))
-
-
-def _cmd_validate(config: RunConfig, out) -> int:
-    omega = load_period_matrix(config.matrix_path)
+def _cmd_validate(args, omega, out) -> int:
     eigs = np.linalg.eigvalsh(omega.imag_part)
-    _print_kv(out, "genus", omega.genus)
-    _print_kv(out, "min_imag_eigenvalue", _fmt(float(eigs[0])))
-    _print_kv(out, "det_imag", _fmt(float(np.linalg.det(omega.imag_part))))
-    _print_kv(out, "status", "OK")
+    det = np.linalg.det(omega.imag_part)
+    _row(out, "genus", omega.genus)
+    _row(out, "min_imag_eigenvalue", eigs[0])
+    _row(out, "det_imag", det)
+    _row(out, "status", "OK")
     return 0
 
 
-def _cmd_torus(config: RunConfig, out) -> int:
-    table = torus.spectrum_table(config.flags.tau, config.flags.max)
-    out.write("# n m re_c im_c lambda mu\n")
+def _cmd_torus(args, omega, out) -> int:
+    table = torus.spectrum_table(args.tau, args.max)
+    _row(out, "# n m re_c im_c lambda mu")
     for entry in table:
-        out.write(
-            "%d %d %s %s %s %s\n"
-            % (
-                entry.charge[0],
-                entry.charge[1],
-                _fmt(entry.c.real),
-                _fmt(entry.c.imag),
-                _fmt(entry.lam),
-                _fmt(entry.mu),
-            )
-        )
+        _row(out, *entry.charge, entry.c.real, entry.c.imag, entry.lam, entry.mu)
     return 0
 
 
-def _cmd_torus_fd(config: RunConfig, out) -> int:
-    tau, resolution = config.flags.tau, config.flags.resolution
-    table = torus.spectrum_table(tau, config.flags.max)
-    out.write("# n m lambda resid_N resid_2N ratio\n")
+def _cmd_torus_fd(args, omega, out) -> int:
+    table = torus.spectrum_table(args.tau, args.max)
+    _row(out, "# n m lambda resid_N resid_2N ratio")
     for entry in table:
         n, m = entry.charge
-        lam, coarse = torus.fd_eigen_residual(tau, n, m, resolution)
-        _, fine = torus.fd_eigen_residual(tau, n, m, 2 * resolution)
-        ratio = coarse / fine if fine > 0 else 0.0
-        out.write(
-            "%d %d %s %s %s %s\n"
-            % (n, m, _fmt(lam), _fmt(coarse), _fmt(fine), _fmt(ratio))
-        )
+        lam, coarse = torus.fd_eigen_residual(args.tau, n, m, args.resolution)
+        _, fine = torus.fd_eigen_residual(args.tau, n, m, 2 * args.resolution)
+        _row(out, n, m, lam, coarse, fine, coarse / fine if fine > 0 else 0.0)
     return 0
 
 
-def _cmd_search(config: RunConfig, out) -> int:
-    omega = load_period_matrix(config.matrix_path)
+def _cmd_search(args, omega, out) -> int:
     records = special.search_solutions(
-        omega,
-        parse_charge(config.flags.base, omega.genus),
-        bound=config.flags.bound,
-        tol=config.flags.tol,
+        omega, parse_charge(args.base, omega.genus), bound=args.bound, tol=args.tol
     )
-    out.write("# n m re_c im_c lambda_c degree classification\n")
+    _row(out, "# n m re_c im_c lambda_c degree classification")
     for rec in records:
-        degree = str(rec.degree) if rec.degree is not None else "-"
-        out.write(
-            "%s %s %s %s %s %s %s\n"
-            % (
-                format_int_vector(rec.probe.n),
-                format_int_vector(rec.probe.m),
-                _fmt(rec.c.real),
-                _fmt(rec.c.imag),
-                _fmt(rec.lambda_c),
-                degree,
-                rec.classification,
-            )
+        _row(
+            out,
+            format_int_vector(rec.probe.n),
+            format_int_vector(rec.probe.m),
+            rec.c.real,
+            rec.c.imag,
+            rec.lambda_c,
+            "-" if rec.degree is None else rec.degree,
+            rec.classification,
         )
     return 0
 
 
-def _cmd_construct_g2(config: RunConfig, out) -> int:
-    args = config.flags
+def _cmd_construct_g2(args, omega, out) -> int:
     params = genus2.Genus2Params(
         omega11=args.omega11, omega12=args.omega12, M=args.M, N2=args.N2, N3=args.N3, N4hat=args.N4
     )
-    omega = genus2.build_special_genus2(params)
-    write_period_matrix(args.out, omega)
+    write_period_matrix(args.out, genus2.build_special_genus2(params))
     info_lines = [
         "omega22 %s" % format_complex(params.omega22),
         "N1 %s" % params.N1,
@@ -141,85 +116,62 @@ def _cmd_construct_g2(config: RunConfig, out) -> int:
         for n1, m1, charge in genus2.gamma_members(params, branch, bound=2)[:8]:
             info_lines.append(
                 "gamma%s %d %d -> %s;%s"
-                % (
-                    branch,
-                    n1,
-                    m1,
-                    format_int_vector(charge.n),
-                    format_int_vector(charge.m),
-                )
+                % (branch, n1, m1, format_int_vector(charge.n), format_int_vector(charge.m))
             )
-    info_text = "\n".join(info_lines) + "\n"
-    Path(str(args.out) + ".info").write_text(info_text)
-    out.write("wrote %s\n" % args.out)
-    out.write(info_text)
+    Path(str(args.out) + ".info").write_text("\n".join(info_lines) + "\n")
+    _row(out, "wrote", args.out)
+    for line in info_lines:
+        _row(out, line)
     return 0
 
 
-def _cmd_cm_check(config: RunConfig, out) -> int:
-    omega = load_period_matrix(config.matrix_path)
-    base = parse_charge(config.flags.base, omega.genus)
-    probe = parse_charge(config.flags.probe, omega.genus)
-    wedge = special.cm_wedge_residual(omega, base, probe)
-    _print_kv(out, "wedge_residual", _fmt(wedge))
-    record = special.solution_record(omega, base, probe, tol=config.flags.tol)
-    _print_kv(out, "classification", record.classification)
-    _print_kv(out, "c", format_complex(record.c))
-    _print_kv(out, "lambda_c", _fmt(record.lambda_c))
-    _print_kv(out, "lambda_dual", _fmt(record.lambda_c_dual))
+def _cmd_cm_check(args, omega, out) -> int:
+    base = parse_charge(args.base, omega.genus)
+    probe = parse_charge(args.probe, omega.genus)
+    _row(out, "wedge_residual", special.cm_wedge_residual(omega, base, probe))
+    record = special.solution_record(omega, base, probe, tol=args.tol)
+    _row(out, "classification", record.classification)
+    _row(out, "c", format_complex(record.c))
+    _row(out, "lambda_c", record.lambda_c)
+    _row(out, "lambda_dual", record.lambda_c_dual)
     if record.degree is not None:
-        _print_kv(out, "degree", record.degree)
+        _row(out, "degree", record.degree)
         m_vec, n_vec, m_prime, n_prime = special.cm_witness_from_record(base, record)
-        witness = special.cm_relation_check(
-            omega, record.c_conj, m_vec, n_vec, m_prime, n_prime
-        )
-        _print_kv(out, "cm_witness_residual", _fmt(witness))
+        witness = special.cm_relation_check(omega, record.c_conj, m_vec, n_vec, m_prime, n_prime)
+        _row(out, "cm_witness_residual", witness)
     return 0
 
 
-def _cmd_psf_check(config: RunConfig, out) -> int:
-    omega = load_period_matrix(config.matrix_path)
-    base = parse_charge(config.flags.base, omega.genus)
-    probe = parse_charge(config.flags.probe, omega.genus)
-    index = config.flags.index - 1  # CLI is 1-based
+def _cmd_psf_check(args, omega, out) -> int:
+    base = parse_charge(args.base, omega.genus)
+    probe = parse_charge(args.probe, omega.genus)
+    index = args.index - 1  # CLI is 1-based
     if index >= omega.genus:
         raise ParseError("--index must be between 1 and %d" % omega.genus)
-    lhs, rhs, residual = special.psf_check(
-        omega, base, probe, j=index, trunc=config.flags.trunc
-    )
+    lhs, rhs, residual = special.psf_check(omega, base, probe, j=index, trunc=args.trunc)
     d_base = special.psf_coefficient(omega, base)[index]
     d_probe = special.psf_coefficient(omega, probe)[index]
-    _print_kv(out, "d_base", format_complex(d_base))
-    _print_kv(out, "d_probe", format_complex(d_probe))
-    _print_kv(out, "ratio", format_complex(d_probe / d_base))
-    _print_kv(out, "lhs", format_complex(lhs))
-    _print_kv(out, "rhs", format_complex(rhs))
-    _print_kv(out, "residual", _fmt(residual))
+    _row(out, "d_base", format_complex(d_base))
+    _row(out, "d_probe", format_complex(d_probe))
+    _row(out, "ratio", format_complex(d_probe / d_base))
+    _row(out, "lhs", format_complex(lhs))
+    _row(out, "rhs", format_complex(rhs))
+    _row(out, "residual", residual)
     return 0
 
 
-def _cmd_report(config: RunConfig, out) -> int:
-    args = config.flags
-    omega = load_period_matrix(config.matrix_path)
-    results = report.run_identity_suite(
-        omega, trials=args.trials, seed=args.seed, charge_bound=args.charge_bound, tol=args.tol
+def _cmd_report(args, omega, out) -> int:
+    worst = report.run_identity_suite(
+        omega, trials=args.trials, seed=args.seed, charge_bound=args.charge_bound
     )
-    out.write("# identity max_residual tol status\n")
-    all_passed = True
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        all_passed = all_passed and result.passed
-        out.write(
-            "%s %s %s %s\n" % (result.name, _fmt(result.max_residual), _fmt(result.tol), status)
-        )
+    _row(out, "# identity max_residual tol status")
+    for name, value in worst.items():
+        _row(out, name, value, args.tol, "PASS" if value <= args.tol else "FAIL")
     minimum, at_zero = report.positivity_sweep(omega, bound=args.bound)
     positive = minimum > 0 and at_zero == 0.0
-    all_passed = all_passed and positive
-    out.write(
-        "positivity-box %s %s %s\n"
-        % (_fmt(minimum), _fmt(0.0), "PASS" if positive else "FAIL")
-    )
-    return 0 if all_passed else 1
+    _row(out, "positivity-box", minimum, 0.0, "PASS" if positive else "FAIL")
+    passed = positive and all(value <= args.tol for value in worst.values())
+    return 0 if passed else 1
 
 
 _DISPATCH = {
@@ -242,7 +194,8 @@ def run(config: RunConfig, out=None) -> int:
     """
     out = out if out is not None else sys.stdout
     try:
-        return _DISPATCH[config.subcommand](config, out)
+        omega = None if config.matrix_path is None else load_period_matrix(config.matrix_path)
+        return _DISPATCH[config.subcommand](config.flags, omega, out)
     except _CONFIG_ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .differentials import lattice_image, period_of, primitive_coeffs
-from .errors import DegenerateCharge
+from .errors import DegenerateCharge, DomainError
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
 
@@ -37,14 +37,16 @@ def bilinear(x, a, y):
 
 
 def integer_pairings(n, m, q, p):
-    """Integer pairing p.n + q.m; exact on ``object`` arrays of Python ints."""
+    """Integer pairing p.n + q.m over the last axis."""
     return np.sum(p * n, axis=-1) + np.sum(q * m, axis=-1)
 
 
 def integer_defect(nm: LatticeCharge, qp: CyclePair) -> int:
-    """Integer pairing p.n + q.m fixing the imaginary part of the product."""
-    exact = (np.array(x, dtype=object) for x in (nm.n, nm.m, qp.q, qp.p))
-    return int(integer_pairings(*exact))
+    """Integer pairing p.n + q.m fixing the imaginary part of the product.
+
+    Summed over the Python ints of the tuples, so it is exact at any size.
+    """
+    return sum(a * b for a, b in zip(qp.p + qp.q, nm.n + nm.m, strict=True))
 
 
 def herm_products(omega: PeriodMatrix, n, m, q, p):
@@ -77,9 +79,15 @@ def monodromy_factor(omega: PeriodMatrix, nm: LatticeCharge, qp: CyclePair) -> f
 
     The imaginary part of the exponent is pi times the integer pairing, so
     the factor is exp(Re) with the sign of that pairing's parity, exactly real.
+    Raises DomainError when exp(Re) overflows the float range.
     """
     sign = -1.0 if integer_defect(nm, qp) % 2 else 1.0
-    return float(np.exp(herm_product(omega, nm, qp).real) * sign)
+    exponent = herm_product(omega, nm, qp).real
+    with np.errstate(over="ignore"):
+        magnitude = np.exp(exponent)
+    if magnitude == np.inf:
+        raise DomainError("monodromy factor exp(%.6g) overflows" % exponent)
+    return float(magnitude * sign)
 
 
 def wedge_integrals(omega: PeriodMatrix, ca, cb):

@@ -125,12 +125,12 @@ def charge_box(dim: int, bound: int) -> np.ndarray:
 def box_blocks(dim: int, bound: int):
     """The box [-bound, bound]^dim as blocks of at most BLOCK_ROWS rows.
 
-    Yields ``(rows, zero)`` in lexicographic order.  Each block fixes the
-    leading ``dim - k`` coordinates and runs over ``charge_box(k, bound)`` in
-    the rest, with k the largest value such that ``(2 bound + 1)^k <=
+    Yields the blocks in lexicographic order.  Each block fixes the leading
+    ``dim - k`` coordinates and runs over ``charge_box(k, bound)`` in the
+    rest, with k the largest value such that ``(2 bound + 1)^k <=
     BLOCK_ROWS``, and at least 1; the blocks concatenate to
-    ``charge_box(dim, bound)``.  ``zero`` is the index of the zero row, the
-    middle row of the middle block, and None in every other block.
+    ``charge_box(dim, bound)``, so the zero row is the middle row of the
+    middle block.  Callers drop it with the mask ``rows.any(axis=1)``.
     """
     width = 2 * bound + 1
     k = 1
@@ -141,7 +141,7 @@ def box_blocks(dim: int, bound: int):
         rows = np.empty((len(tail), dim), dtype=np.int64)
         rows[:, : dim - k] = prefix
         rows[:, dim - k :] = tail
-        yield rows, None if any(prefix) else len(tail) // 2
+        yield rows
 
 
 def random_siegel_point(h: int, seed: int) -> PeriodMatrix:

@@ -244,7 +244,7 @@ def _plane_rows(omega, v, bound: int, tol: float):
     if not np.isfinite(radius + 2 * reach).all():
         return None
     found = []
-    for rows, _ in box_blocks(2, bound):
+    for rows in box_blocks(2, bound):
         centre = -(rows[:, :1] * w[:, 0] + rows[:, 1:] * w[:, 1])
         lo = np.ceil(np.maximum(np.nextafter(centre - radius, -np.inf), -bound)).astype(np.int64)
         hi = np.floor(np.minimum(np.nextafter(centre + radius, np.inf), bound)).astype(np.int64)
@@ -273,7 +273,7 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     h = omega.genus
     blocks = [_plane_rows(omega, v, bound, tol)]
     if blocks[0] is None:
-        blocks = (rows for rows, _ in box_blocks(2 * h, bound))
+        blocks = box_blocks(2 * h, bound)
     records = []
     for rows in blocks:
         for flat, cbar in _accepted(omega, v, rows[rows.any(axis=1)], tol):

@@ -61,8 +61,8 @@ def test_c01_identity_suite():
     worst = {}
     for h in (1, 2, 3, 4):
         omega = random_siegel_point(h, seed=h)
-        for result in run_identity_suite(omega, trials=50, seed=100 + h, charge_bound=5):
-            worst[result.name] = max(worst.get(result.name, 0.0), result.max_residual)
+        for name, value in run_identity_suite(omega, trials=50, seed=100 + h, charge_bound=5).items():
+            worst[name] = max(worst.get(name, 0.0), value)
     missing = names - set(worst)
     peak = max(worst[name] for name in names)
     _verdict(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from specialperiods import (
     wedge_integral,
 )
 from specialperiods import pairings
+from specialperiods.errors import DomainError
 
 PI = np.pi
 
@@ -82,6 +84,22 @@ def test_monodromy_factor_is_real_on_random_data():
         qp = _random_charge(rng, 2, bound=2)
         value = monodromy_factor(omega, nm, CyclePair(qp.n, qp.m))
         assert isinstance(value, float)
+
+
+def test_monodromy_factor_overflow_raises_without_warnings():
+    # the exponent is about 2827, past the float range of exp
+    nm, qp = LatticeCharge((0,), (30,)), CyclePair((0,), (30,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            monodromy_factor(PeriodMatrix.from_tau(1j), nm, qp)
+
+
+def test_integer_defect_is_exact_beyond_int64():
+    big = 10**20
+    nm, qp = LatticeCharge((big, 1), (3, -big)), CyclePair((big, 2), (big + 1, 5))
+    # p.n + q.m = (big + 1) big + 5 + 3 big - 2 big
+    assert pairings.integer_defect(nm, qp) == 10**40 + 2 * 10**20 + 5
 
 
 def test_wedge_integral_examples():

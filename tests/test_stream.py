@@ -62,22 +62,20 @@ def test_blocks_concatenate_to_the_box(monkeypatch, block_rows, dim, bound):
     monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
     blocks = _streamed(dim, bound)
     width = 2 * bound + 1
-    tail_rows = len(blocks[0][0])
+    tail_rows = len(blocks[0])
     assert tail_rows <= max(block_rows, width)
     assert tail_rows * width > block_rows or tail_rows == width**dim
-    np.testing.assert_array_equal(np.concatenate([rows for rows, _ in blocks]), charge_box(dim, bound))
-    zeros = [(i, zero) for i, (_, zero) in enumerate(blocks) if zero is not None]
+    np.testing.assert_array_equal(np.concatenate(blocks), charge_box(dim, bound))
+    zeros = [(i, int(j)) for i, rows in enumerate(blocks) for j in np.flatnonzero(~rows.any(axis=1))]
     assert zeros == [(len(blocks) // 2, tail_rows // 2)]
-    rows, zero = blocks[len(blocks) // 2]
-    assert not rows[zero].any()
 
 
 def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_case):
     # genus 1 at bound 3: 49 rows fit in one block, whose prefix is empty
     omega, base = random_siegel_point(1, 0), LatticeCharge((1,), (0,))
-    [(rows, zero)] = _streamed(2, 3)
+    [rows] = _streamed(2, 3)
     np.testing.assert_array_equal(rows, charge_box(2, 3))
-    assert zero == 49 // 2
+    assert np.flatnonzero(~rows.any(axis=1)).tolist() == [49 // 2]
     # genus one has no dependent coordinate, so the search scans the box
     assert special._plane_rows(omega, special.base_image(omega, base), 3, 1e-9) is None
     assert len(search_solutions(omega, base, 3, 1e-9)) == 49 - 1
@@ -86,11 +84,11 @@ def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_cas
     _, omega, base = worked_case
     assert len(search_solutions(omega, base, 2, 1e-9)) == 14
     blocks = _streamed(4, 2)
-    with_zero = [(rows, zero) for rows, zero in blocks if zero is not None]
+    with_zero = [rows for rows in blocks if not rows.any(axis=1).all()]
     assert len(blocks) == 125 and len(with_zero) == 1
-    rows, zero = with_zero[0]
-    assert len(np.delete(rows, zero, axis=0)) == len(rows) - 1
-    assert np.all(np.delete(rows, zero, axis=0).any(axis=1))
+    rows = with_zero[0]
+    assert len(rows[rows.any(axis=1)]) == len(rows) - 1
+    assert not rows[len(rows) // 2].any()
 
 
 CASES = [("worked", 2, 1e-9)] + [
@@ -170,8 +168,8 @@ def test_search_memory_does_not_grow_with_the_bound():
 
 def _nonzero_blocks(dim, bound):
     """The rows of every block of the box, without the zero row."""
-    for rows, zero in box_blocks(dim, bound):
-        yield rows if zero is None else np.delete(rows, zero, axis=0)
+    for rows in box_blocks(dim, bound):
+        yield rows[rows.any(axis=1)]
 
 
 def _box_scan(omega, base, bound, tol):
