@@ -31,7 +31,6 @@ from .genus2 import (
 )
 from .highgenus import (
     AnsatzTensors,
-    RatioMatrix,
     identity_ansatz,
     parse_tensor_file,
     ratio_matrix,
@@ -75,7 +74,6 @@ from .special import (
     solve_c,
 )
 from .torus import (
-    GridField,
     TorusSpectrumEntry,
     dedekind_eta,
     fd_eigen_residual,

@@ -161,9 +161,12 @@ def _cmd_psf_check(args, omega, out) -> int:
 
 
 def _cmd_report(args, omega, out) -> int:
-    worst = report.run_identity_suite(
-        omega, trials=args.trials, seed=args.seed, charge_bound=args.charge_bound
-    )
+    try:
+        worst = report.run_identity_suite(
+            omega, trials=args.trials, seed=args.seed, charge_bound=args.charge_bound
+        )
+    except ValueError as exc:  # a --charge-bound past the int64 pairings
+        raise ParseError(str(exc)) from exc
     _row(out, "# identity max_residual tol status")
     for name, value in worst.items():
         _row(out, name, value, args.tol, "PASS" if value <= args.tol else "FAIL")

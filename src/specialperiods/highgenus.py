@@ -19,76 +19,55 @@ from .siegel import LatticeCharge, PeriodMatrix
 from .special import base_image
 
 
-@dataclass(frozen=True, eq=False)
-class RatioMatrix:
-    """Componentwise ratio matrix of one charge image."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def genus(self) -> int:
-        return self.entries.shape[0]
-
-    def cocycle_residual(self) -> float:
-        """Worst violation of N_ij N_jk = N_ik over all index triples."""
-        n = self.entries
-        products = n[:, :, None] * n[None, :, :]
-        return float(np.max(np.abs(products - n[:, None, :])))
-
-    def reciprocal_residual(self) -> float:
-        """Worst violation of N_ij N_ji = 1."""
-        return float(np.max(np.abs(self.entries * self.entries.T - 1.0)))
-
-    def smallest_singular_value(self) -> float:
-        return float(np.linalg.svd(self.entries, compute_uv=False)[-1])
-
-
-def ratio_matrix(omega: PeriodMatrix, base: LatticeCharge) -> RatioMatrix:
+def ratio_matrix(omega: PeriodMatrix, base: LatticeCharge) -> np.ndarray:
+    """The h x h array N_ij = v_i / v_j of the base charge's image v."""
     v = base_image(omega, base)
-    return RatioMatrix(entries=v[:, None] / v[None, :])
+    return v[:, None] / v[None, :]
 
 
-def _nested_tuple(data, depth):
-    if depth == 0:
-        return Fraction(data)
-    return tuple(_nested_tuple(item, depth - 1) for item in data)
+def cocycle_residual(ratios: np.ndarray) -> float:
+    """Worst violation of N_ij N_jk = N_ik over all index triples."""
+    products = ratios[:, :, None] * ratios[None, :, :]
+    return float(np.max(np.abs(products - ratios[:, None, :])))
 
 
-@dataclass(frozen=True)
+def reciprocal_residual(ratios: np.ndarray) -> float:
+    """Worst violation of N_ij N_ji = 1."""
+    return float(np.max(np.abs(ratios * ratios.T - 1.0)))
+
+
+@dataclass(frozen=True, eq=False)
 class AnsatzTensors:
-    """Rational tensors (N4, M2) of shapes h^4 and h^2."""
+    """Rational tensors (N4, M2) of shapes h^4 and h^2.
 
-    N4: tuple
-    M2: tuple
+    Any nested sequences of rationals are accepted; both are held as
+    read-only object arrays of Fractions.
+    """
+
+    N4: np.ndarray
+    M2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "N4", _nested_tuple(self.N4, 4))
-        object.__setattr__(self, "M2", _nested_tuple(self.M2, 2))
-        h = len(self.M2)
-        ok = len(self.N4) == h and all(
-            len(a) == h and all(len(b) == h and all(len(c) == h for c in b) for b in a)
-            for a in self.N4
-        )
-        ok = ok and all(len(row) == h for row in self.M2)
-        if not ok:
+        n4 = np.array(self.N4, dtype=object)
+        m2 = np.array(self.M2, dtype=object)
+        # checked before the conversion, so a ragged or wrong-depth input is a
+        # ValueError rather than Fraction's TypeError on a nested list
+        if n4.ndim != 4 or m2.ndim != 2 or len(set(n4.shape + m2.shape)) != 1:
             raise ValueError("tensor shapes must be h^4 and h^2 for one common h")
+        for name, data in (("N4", n4), ("M2", m2)):
+            data = np.frompyfunc(Fraction, 1, 1)(data)
+            data.setflags(write=False)
+            object.__setattr__(self, name, data)
 
     @property
     def genus(self) -> int:
-        return len(self.M2)
+        return self.M2.shape[0]
 
 
 def identity_ansatz(h: int) -> AnsatzTensors:
     """The delta-pattern solution: N[i][k][j][l] = delta_kl, M = 0."""
-    n4 = [
-        [[[Fraction(int(k == l)) for l in range(h)] for j in range(h)] for k in range(h)]
-        for i in range(h)
-    ]
-    m2 = [[Fraction(0)] * h for _ in range(h)]
-    return AnsatzTensors(N4=n4, M2=m2)
+    delta_kl = np.eye(h, dtype=int)[None, :, None, :]
+    return AnsatzTensors(N4=np.broadcast_to(delta_kl, (h,) * 4), M2=np.zeros((h, h), dtype=int))
 
 
 def verify_ansatz_tensors(tensors: AnsatzTensors):
@@ -99,23 +78,10 @@ def verify_ansatz_tensors(tensors: AnsatzTensors):
     sum_l N[i][k][j][l] M[j][l] = 0.
     """
     n4, m2 = tensors.N4, tensors.M2
-    h = tensors.genus
-    idx = range(h)
-    worst_cocycle = Fraction(0)
-    for i in idx:
-        for k in idx:
-            for j in idx:
-                for n in idx:
-                    for m in idx:
-                        total = sum((n4[i][k][j][l] * n4[j][l][n][m] for l in idx), Fraction(0))
-                        worst_cocycle = max(worst_cocycle, abs(total - n4[i][k][n][m]))
-    worst_m = Fraction(0)
-    for i in idx:
-        for k in idx:
-            for j in idx:
-                total = sum((n4[i][k][j][l] * m2[j][l] for l in idx), Fraction(0))
-                worst_m = max(worst_m, abs(total))
-    return worst_cocycle, worst_m
+    # j stays free in both contractions: only l is summed
+    chained = np.einsum("ikjl,jlnm->ikjnm", n4, n4)
+    annihilated = np.einsum("ikjl,jl->ikj", n4, m2)
+    return np.max(np.abs(chained - n4[:, :, None, :, :])), np.max(np.abs(annihilated))
 
 
 def parse_tensor_file(text: str) -> AnsatzTensors:
@@ -138,22 +104,16 @@ def parse_tensor_file(text: str) -> AnsatzTensors:
                 h = int(tokens[1])
                 if h < 1:
                     raise ValueError("h must be positive")
-                n4 = [
-                    [[[Fraction(0)] * h for _ in range(h)] for _ in range(h)]
-                    for _ in range(h)
-                ]
-                m2 = [[Fraction(0)] * h for _ in range(h)]
+                n4 = np.zeros((h,) * 4, dtype=object)
+                m2 = np.zeros((h, h), dtype=object)
             elif len(tokens) in (5, 3):
                 if h is None:
                     raise ValueError("missing 'h' header")
-                *idx, value = tokens
-                idx = [int(t) - 1 for t in idx]
-                if not all(0 <= i < h for i in idx):
+                *fields, value = tokens
+                index = tuple(int(t) - 1 for t in fields)
+                if not all(0 <= i < h for i in index):
                     raise ValueError("indices must be between 1 and %d" % h)
-                target = n4 if len(idx) == 4 else m2
-                for i in idx[:-1]:
-                    target = target[i]
-                target[idx[-1]] = Fraction(value)
+                (n4 if len(index) == 4 else m2)[index] = Fraction(value)
             else:
                 raise ValueError("expected 5 fields (N4) or 3 fields (M2)")
         except (ValueError, ZeroDivisionError) as exc:

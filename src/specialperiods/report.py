@@ -11,6 +11,8 @@ place of a batch evaluates every unit charge or cycle at once.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from . import differentials, pairings
@@ -62,12 +64,17 @@ def run_identity_suite(
     and cycles are drawn uniformly from [-bound, bound]; the per-matrix
     identities (the eta-basis ones) are folded in once.  The two area
     identities need a nonzero charge and are reported only when one was
-    drawn.  A NaN residual propagates to the worst case.
+    drawn.  A NaN residual propagates to the worst case.  The integer
+    pairings are int64 and reach 2h bound^2, which bounds ``charge_bound``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    if charge_bound < 0:
-        raise ValueError("charge bound must be nonnegative, got %d" % charge_bound)
+    limit = isqrt((2**63 - 1) // (2 * omega.genus))
+    if not 0 <= charge_bound <= limit:
+        raise ValueError(
+            "charge bound must be between 0 and %d at genus %d, got %d"
+            % (limit, omega.genus, charge_bound)
+        )
     n, m, q, p = draw_trials(np.random.default_rng(seed), trials, omega.genus, charge_bound)
     pi = np.pi
     eta1, eta2 = differentials.eta_bases(omega)

@@ -148,10 +148,12 @@ def _normalize(cbar: complex, tol: float):
 def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     sign, c, classification = _normalize(cbar, tol)
     base_area = area(omega, base)
-    lambda_c = 2.0 * base_area * abs(c) ** 2
+    c_squared = abs(c) ** 2
+    lambda_c = 2.0 * base_area * c_squared
     probe_area = area(omega, probe)
-    # lambda_c is 0 only when c is (a degenerate record); 4 A A' / lambda_c -> inf
-    lambda_dual = 4.0 * base_area * probe_area / lambda_c if lambda_c else np.inf
+    # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
+    # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
+    lambda_dual = 2.0 * probe_area / c_squared if c_squared else np.inf
     if not (
         cmath.isfinite(c)
         and math.isfinite(lambda_c)

@@ -49,23 +49,6 @@ def mu_covariance_residual(tau: complex, gamma: ModularMatrix, n: int, m: int) -
     return abs(entry_moved.mu - entry.mu)
 
 
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Samples of a function on the unit cell {x + tau y : x, y in [0, 1)}.
-
-    ``samples[j, k]`` is the value at (x, y) = (j / N, k / N); both directions
-    wrap periodically.
-    """
-
-    resolution: int
-    samples: np.ndarray
-    tau: complex
-    charge: tuple
-
-    def __post_init__(self):
-        self.samples.setflags(write=False)
-
-
 def _eigenfunction(entry: TorusSpectrumEntry, x, y):
     """exp(c z - conj(c z)) at z = x + tau y."""
     # z is named: numpy would multiply a temporary in place, which rounds differently
@@ -73,27 +56,26 @@ def _eigenfunction(entry: TorusSpectrumEntry, x, y):
     return np.exp(2j * np.imag(entry.c * z))
 
 
-def _sampled(entry: TorusSpectrumEntry, N: int) -> GridField:
-    coords = np.arange(N) / N
-    samples = _eigenfunction(entry, coords[:, None], coords[None, :])
-    return GridField(resolution=N, samples=samples, tau=entry.tau, charge=entry.charge)
+def sample_eigenfunction(tau: complex, n: int, m: int, N: int) -> np.ndarray:
+    """Sample exp(c z - conj(c z)) on the N x N flat-coordinate grid.
 
-
-def sample_eigenfunction(tau: complex, n: int, m: int, N: int) -> GridField:
-    """Sample exp(c z - conj(c z)) on the N x N flat-coordinate grid."""
+    Entry [j, k] is the value at (x, y) = (j / N, k / N) of the unit cell
+    {x + tau y : x, y in [0, 1)}; both directions wrap periodically.
+    """
     if N < 8:
         raise ValueError("grid resolution must be at least 8")
-    return _sampled(torus_eigenvalue(tau, n, m), N)
+    coords = np.arange(N) / N
+    return _eigenfunction(torus_eigenvalue(tau, n, m), coords[:, None], coords[None, :])
 
 
-def grid_inner_product(f: GridField, g: GridField) -> complex:
+def grid_inner_product(f: np.ndarray, g: np.ndarray) -> complex:
     """Quadrature of f conj(g) against the normalized flat area measure.
 
     On the periodic grid the trapezoid rule collapses to the plain mean.
     """
-    if f.resolution != g.resolution:
+    if f.shape != g.shape:
         raise ValueError("grids must share a resolution")
-    return complex(np.mean(f.samples * np.conj(g.samples)))
+    return complex(np.mean(f * np.conj(g)))
 
 
 def wraparound_residual(tau: complex, n: int, m: int, N: int) -> float:
@@ -139,9 +121,9 @@ def fd_eigen_residual(tau: complex, n: int, m: int, N: int):
     entry = torus_eigenvalue(tau, n, m)
     if n == 0 and m == 0:
         return 0.0, 0.0
-    field = _sampled(entry, N)
-    applied = _fd_laplacian(field.samples, entry.tau, N)
-    target = entry.lam * field.samples
+    samples = sample_eigenfunction(tau, n, m, N)
+    applied = _fd_laplacian(samples, entry.tau, N)
+    target = entry.lam * samples
     residual = np.linalg.norm(applied - target) / np.linalg.norm(target)
     return entry.lam, float(residual)
 

@@ -339,6 +339,9 @@ _G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--
         ["psf-check", "MATRIX", *_WORKED, "--probe", "0,0;1,2", "--index", "0"],
         ["report", "MATRIX", "--trials", "0"],
         ["report", "MATRIX", "--charge-bound", "-1"],
+        # the int64 pairings reach 2h bound^2: 1518500249 is the largest bound at genus 2
+        ["report", "MATRIX", "--charge-bound", "1518500250", "--trials", "20", "--bound", "1"],
+        ["report", "MATRIX", "--charge-bound", "10000000000000000000"],
         ["report", "MATRIX", "--seed", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "-1"],
         ["search", "MATRIX", *_WORKED, "--threads", "2"],  # the search has no thread pool
@@ -389,13 +392,23 @@ def test_cli_rejects_non_finite_tau(capsys):
         ["cm-check", "--base", "1;0", "--probe", "2;0"],
     ],
 )
-@pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i"])  # lambda_c overflows; only lambda_dual does
+# lambda_c overflows at 0+8e307i; at 0+1e200i only the product A A' (about 1e402)
+# does, and lambda_dual = 2 A' / |c|^2 stays finite, so that record is printed
+@pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i"])
 def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
-    # the matrix validates, but the record's areas overflow
+    # the matrix validates, but the record's areas may overflow
     path = tmp_path / "huge.mat"
     path.write_text("genus 1\n%s\n" % tau)
     assert run_cli(["validate", str(path)])[0] == 0
     code, out = run_cli([argv[0], str(path), *argv[1:]])
+    if tau == "0+1e200i":
+        assert code == 0
+        line = {
+            "search": "1 0 1 0 9.86960440108936e+200 - collinear-rational",
+            "cm-check": "lambda_dual 9.86960440108936e+200",
+        }[argv[0]]
+        assert line in out.splitlines()
+        return
     assert code == 1
     # cm-check prints its wedge residual before the record, as for a rejected probe
     assert "lambda" not in out and "special" not in out and "collinear" not in out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specialperiods import differentials, pairings
+from specialperiods.pairings import integer_pairings
 from specialperiods.report import draw_trials, run_identity_suite
 from specialperiods.siegel import CyclePair, LatticeCharge, PeriodMatrix, random_siegel_point
 
@@ -141,3 +142,14 @@ def test_suite_rejects_empty_batches():
         run_identity_suite(omega, trials=0)
     with pytest.raises(ValueError, match="charge bound"):
         run_identity_suite(omega, charge_bound=-1)
+
+
+@pytest.mark.parametrize("h,limit", [(1, 2147483647), (2, 1518500249), (3, 1239850262)])
+def test_charge_bound_keeps_the_pairings_in_int64(h, limit):
+    extreme = np.full((1, h), limit, dtype=np.int64)
+    assert int(integer_pairings(extreme, extreme, extreme, extreme)[0]) == 2 * h * limit**2
+    assert 2 * h * (limit + 1) ** 2 > np.iinfo(np.int64).max
+    omega = random_siegel_point(h, seed=1)
+    with pytest.raises(ValueError, match="between 0 and %d at genus %d" % (limit, h)):
+        run_identity_suite(omega, trials=1, charge_bound=limit + 1)
+    assert "herm-imag-integrality" in run_identity_suite(omega, trials=1, charge_bound=limit)

@@ -87,12 +87,12 @@ def test_mu_covariance_random():
 
 
 def test_sample_eigenfunction_values():
-    field = sample_eigenfunction(1j, 0, 0, 8)
-    assert np.all(field.samples == 1)
-    field = sample_eigenfunction(1j, 0, 1, 8)
+    samples = sample_eigenfunction(1j, 0, 0, 8)
+    assert samples.shape == (8, 8) and np.all(samples == 1)
+    samples = sample_eigenfunction(1j, 0, 1, 8)
     # h = exp(2 pi i y) on the square torus
-    assert field.samples[2, 0] == pytest.approx(1.0)  # (x, y) = (0.25, 0)
-    assert field.samples[0, 2] == pytest.approx(1j)  # (x, y) = (0, 0.25)
+    assert samples[2, 0] == pytest.approx(1.0)  # (x, y) = (0.25, 0)
+    assert samples[0, 2] == pytest.approx(1j)  # (x, y) = (0, 0.25)
     with pytest.raises(ValueError):
         sample_eigenfunction(1j, 0, 1, 4)
 
@@ -102,6 +102,13 @@ def test_grid_orthonormality():
     g = sample_eigenfunction(1j, 1, 0, 64)
     assert abs(grid_inner_product(f, g)) < 1e-10
     assert grid_inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_inner_product_needs_one_resolution():
+    f = sample_eigenfunction(1j, 0, 1, 64)
+    g = sample_eigenfunction(1j, 0, 1, 32)
+    with pytest.raises(ValueError, match="share a resolution"):
+        grid_inner_product(f, g)
 
 
 def test_wraparound_is_tiny():
