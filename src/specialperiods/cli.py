@@ -12,6 +12,7 @@ error.  Each flag is declared, converted, defaulted and range-checked once, in
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -231,6 +232,7 @@ _FRACTION = _checked(parse_fraction, "a rational p or p/q")
 _TOL = _checked(float, "a positive finite number", lambda value: 0 < value < math.inf)
 
 
+@functools.cache  # built once per process: argparse keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specialperiods",

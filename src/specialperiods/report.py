@@ -20,7 +20,8 @@ from .differentials import coeff_rows, periods
 from .pairings import (
     bilinear, duality_vectors, herm_products, integer_pairings, real_products, wedge_integrals
 )
-from .siegel import PeriodMatrix, box_blocks
+from .errors import DomainError
+from .siegel import PeriodMatrix, ellipsoid_points
 
 
 def draw_trials(rng, trials: int, h: int, bound: int) -> tuple:
@@ -140,21 +141,41 @@ def run_identity_suite(
 
 
 def positivity_sweep(omega: PeriodMatrix, bound: int):
-    """Self real product over the full charge box.
+    """Self real product over the nonzero charges of the box [-bound, bound]^{2h}.
 
-    Returns (minimum over nonzero charges, value at zero).  Streamed one
-    block of the box at a time, so memory does not grow with the bound.
+    Returns (minimum over nonzero charges, value at zero).  The product is
+    pi (n Y n + (m - X n) Y^-1 (m - X n)), with Omega = X + iY.  The box holds
+    every unit charge, so only a charge whose product is at most the smallest
+    unit product can hold the minimum: ``siegel.ellipsoid_points`` lists the
+    n parts of those charges, then the m parts around each X n.  The
+    candidates, zero included, are evaluated in one batch.  Time and memory
+    follow the number of candidates, not the bound; a bound past 2^52 is taken
+    as 2^52, since the charges reach the product as floats.  Raises
+    DomainError when every unit product overflows, or when Im Omega is too
+    ill-conditioned to bound the rounding.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     h = omega.genus
-    minimum = np.inf
-    for rows in box_blocks(2 * h, bound):
-        n_part = rows[:, :h].astype(float)
-        m_part = rows[:, h:].astype(float)
-        values = real_products(omega, n_part, m_part, n_part, m_part)
-        nonzero = rows.any(axis=1)
-        if not nonzero.all():
-            (at_zero,) = values[~nonzero]
-        minimum = np.minimum(minimum, values[nonzero].min())
-    return float(minimum), float(at_zero)
+    units = np.eye(2 * h)
+    eps = np.finfo(float).eps
+    # Rounding.  The batch's product of (n, m) is pi (a + b) rounded twice, with
+    # b = bilinear(n, Y, n) and a the form of Y^-1 at m - fl(n @ X.T) rounded once per
+    # entry, both nonnegative under ellipsoid_points's guard.  Rows of n @ X.T and of
+    # bilinear round alike in any batch of at least two rows (see special._accept_probe),
+    # and a batch of one row is the zero row, so the centres and b below are the batch's.
+    # A product at most the smallest unit product then has b <= radius and
+    # a <= radius - b, with 1 + 4 eps and 1 + 2 eps covering the roundings here.
+    radius = real_products(omega, units[:, :h], units[:, h:], units[:, :h], units[:, h:]).min()
+    radius = radius / np.pi * (1 + 4 * eps)
+    if not np.isfinite(radius):
+        raise DomainError("the self real product of a unit charge overflows")
+    _, n_part = ellipsoid_points(omega.imag_part, np.zeros((1, h)), [radius], bound)
+    n_part = n_part.astype(float)
+    rest = (radius - bilinear(n_part, omega.imag_part, n_part)) * (1 + 2 * eps)
+    owner, m_part = ellipsoid_points(omega.imag_inverse, n_part @ omega.real_part.T, rest, bound)
+    n_part, m_part = n_part[owner], m_part.astype(float)
+    values = real_products(omega, n_part, m_part, n_part, m_part)
+    nonzero = n_part.any(axis=1) | m_part.any(axis=1)
+    (at_zero,) = values[~nonzero]
+    return float(values[nonzero].min()), float(at_zero)

@@ -144,6 +144,66 @@ def box_blocks(dim: int, bound: int):
         yield rows
 
 
+def ellipsoid_points(gram, centres, radii, bound: int):
+    """Integer points near ellipsoids, clipped to the box [-bound, bound]^d.
+
+    A bound past 2^52 is taken as 2^52: floats hold every integer only up to
+    2^53, and the points reach every form as floats.  For each centre c (a row of ``centres``) and radius r, lists every integer x
+    of the box whose form (x - c) gram (x - c), exact or computed in floating
+    point from x - c rounded once per entry, is at most r.  The list may hold a
+    few more points.  Returns (owner, points): the index of each point's centre
+    and the points as int64 rows.
+    Fincke and Pohst (Math. Comp. 44, 1985) over the Cholesky factor, last
+    coordinate first; the cost follows the number of points, not the bound.
+    Raises DomainError when ``gram`` is too ill-conditioned to bound the rounding.
+    """
+    gram = (gram + gram.T) / 2
+    d = len(gram)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    # Rounding.  Let D = diag(gram)^(1/2) and lam a lower bound on the smallest eigenvalue
+    # of H = D^-1 gram D^-1 (eigvalsh is backward stable and H rounds entrywise, so 2 d^2
+    # eps covers both).  For every y, |y|^T |gram| |y| <= d |Dy|^2 <= (d / lam) y gram y;
+    # this is the conditioning factor of every bound below, and none depends on the bound.
+    # A form computed from y rounded once per entry is within (d + 3) eps/2 |y| |gram| |y|
+    # of the exact one (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).  The
+    # factor R is exact for gram + dG, |dG| <= (d + 1) eps/2 |R^T| |R| (Higham, Theorem
+    # 10.3), and succeeds when lam >= 10 d^2.5 eps (Theorem 10.7).  Each step forms
+    # t_i = R_ii y_i + sum_{j>i} R_ij y_j and the interval of x_i from rounded sums and one
+    # division each; as |R_ij| <= D_j (1 + d eps), every computed t_i is within (d + 5) eps
+    # sqrt(d r / lam) of the exact one, and the vector of errors within d times that.  So
+    # 8 (d + 2)^2 eps / lam, with room for second-order terms, lifts every point's running
+    # sum under the radius, and nextafter rounds the interval ends outward.  Underflow adds
+    # at most eps tiny per operation, which d tiny covers.  The guard below implies Theorem
+    # 10.7's condition.
+    scale = np.sqrt(np.abs(np.diag(gram)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = gram / scale[:, None] / scale[None, :]
+    lam = np.linalg.eigvalsh(scaled)[0] - 2 * d * d * eps if np.isfinite(scaled).all() else 0.0
+    if not lam >= 16 * (d + 2) ** 3 * eps:
+        raise DomainError("quadratic form too ill-conditioned to enumerate its points")
+    factor = np.linalg.cholesky(gram).T
+    # the clipped interval ends +-(bound + 1) stay exact floats
+    bound = float(min(bound, int(1 / eps)))
+    rest = np.asarray(radii, dtype=float) * (1 + 8 * (d + 2) ** 2 * eps / lam) + d * tiny
+    owner = np.arange(len(centres))
+    points = np.empty((len(centres), 0), dtype=np.int64)
+    for i in reversed(range(d)):
+        c = centres[owner]
+        partial = (points - c[:, i + 1 :]) @ factor[i, i + 1 :]
+        width = np.sqrt(np.maximum(rest, 0))
+        low = np.nextafter(c[:, i] + np.nextafter((-partial - width) / factor[i, i], -np.inf), -np.inf)
+        high = np.nextafter(c[:, i] + np.nextafter((-partial + width) / factor[i, i], np.inf), np.inf)
+        lo = np.clip(np.ceil(low), -bound, bound + 1)
+        counts = (np.maximum(np.clip(np.floor(high), -bound - 1, bound) - lo + 1, 0)).astype(np.int64)
+        # repeat each partial point once per integer of its interval, then offset
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        x = np.repeat(lo.astype(np.int64), counts) + offsets
+        owner, partial, rest = (np.repeat(a, counts, axis=0) for a in (owner, partial, rest))
+        points = np.column_stack([x, np.repeat(points, counts, axis=0)])
+        rest = rest - (factor[i, i] * (x - centres[owner, i]) + partial) ** 2
+    return owner, points
+
+
 def random_siegel_point(h: int, seed: int) -> PeriodMatrix:
     """Deterministic pseudo-random point with comfortably positive imaginary part.
 

@@ -369,10 +369,11 @@ def cm_wedge_residual(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCh
     Vanishes exactly when the probe is proportional to the base, making it an
     acceptance oracle independent of the ratio test.
     """
-    v = lattice_image(omega, base)
-    vp = lattice_image(omega, probe)
-    outer = v[:, None] * vp[None, :]
-    return float(np.max(np.abs(outer - outer.T)))
+    v, vp = lattice_image(omega, base), lattice_image(omega, probe)
+    # scaled below 1 by powers of two, which round exactly, so the outer product cannot overflow
+    ev, evp = (max(int(np.frexp(np.max(np.abs(x)))[1]), 0) for x in (v, vp))
+    outer = (v * 2.0**-ev)[:, None] * (vp * 2.0**-evp)[None, :]
+    return float(np.ldexp(np.max(np.abs(outer - outer.T)), ev + evp))
 
 
 def cm_relation_check(omega: PeriodMatrix, tau: complex, m_vec, n_vec, m_prime, n_prime) -> float:

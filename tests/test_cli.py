@@ -1,3 +1,9 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +11,7 @@ import pytest
 
 from conftest import run_cli
 
-from specialperiods import ParseError, report, torus_eigenvalue
+from specialperiods import ParseError, cli, report, torus_eigenvalue
 from specialperiods.matrixio import (
     format_complex,
     format_matrix,
@@ -16,6 +22,7 @@ from specialperiods.matrixio import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 PI = np.pi
 
 
@@ -414,3 +421,55 @@ def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     assert "lambda" not in out and "special" not in out and "collinear" not in out
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_parser_reused_across_calls(fixture_matrix_path, monkeypatch):
+    # the parser is built once per process; each call must print what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    matrix = str(fixture_matrix_path)
+    calls = [
+        ["validate", matrix],
+        ["search", matrix, "--base", "1,1;1,2", "--bound", "1"],
+        ["report", matrix, "--trials", "3", "--bound", "1"],
+        ["search", matrix, "--bound", "2"],
+        ["report", "--help"],
+        ["validate", matrix, "--bogus"],
+        ["--help"],
+        ["torus", "--tau", "0+1i", "--max", "1"],
+        ["validate", matrix],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "specialperiods.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert _in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("bound", ["100000000000000000000", "9223372036854775807"])
+def test_cli_report_at_a_huge_bound(fixture_matrix_path, bound):
+    # the ellipsoid of candidates is the same as at bound 50; only the box's clip moves
+    argv = ["report", str(fixture_matrix_path), "--trials", "5"]
+    code, out = run_cli(argv + ["--bound", bound])
+    reference = run_cli(argv + ["--bound", "50"])
+    assert (code, out) == reference and code == 0
+    assert "positivity-box 1.39626340159546 0 PASS" in out.splitlines()
+
+
+def test_cli_cm_check_wedge_residual_at_huge_entries(tmp_path):
+    # the images are near 1e200; their outer product is formed at a power-of-two scale
+    path = tmp_path / "huge.mat"
+    path.write_text("genus 1\n0+1e200i\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["cm-check", str(path), "--base", "1;0", "--probe", "2;0"])
+    assert code == 0
+    assert out.splitlines()[0] == "wedge_residual 0"

@@ -13,6 +13,7 @@ from specialperiods import (
     random_siegel_point,
     validate_period_matrix,
 )
+from specialperiods.siegel import charge_box, ellipsoid_points
 
 
 def test_genus_one_identity_imag():
@@ -172,3 +173,38 @@ def test_int_tuple_conversions(values, expected):
 def test_int_tuple_rejects_non_integers(values):
     with pytest.raises(ValueError, match="exact integers"):
         LatticeCharge(values, values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ellipsoid_points_list_every_box_point_inside(seed):
+    rng = np.random.default_rng(seed)
+    d, bound = 1 + seed % 4, 3
+    a = rng.standard_normal((d, d))
+    gram = a.T @ a + 0.1 * np.eye(d)
+    centres = rng.uniform(-4, 4, (3, d))
+    radii = rng.uniform(0, 6, 3)
+    owner, points = ellipsoid_points(gram, centres, radii, bound)
+    assert points.dtype == np.int64 and np.abs(points).max(initial=0) <= bound
+    box = charge_box(d, bound)
+    for k in range(3):
+        y = box - centres[k]
+        forms = np.sum((y @ gram) * y, axis=1)
+        listed = set(map(tuple, points[owner == k].tolist()))
+        assert listed == {tuple(row) for row in box[forms <= radii[k] * (1 + 1e-9)]}
+
+
+def test_ellipsoid_points_beyond_the_int64_range():
+    # the box is clipped to the floats' exact integers, so huge bounds cannot overflow
+    owner, points = ellipsoid_points(np.eye(2), np.zeros((1, 2)), [2.0], 10**30)
+    assert sorted(map(tuple, points.tolist())) == sorted(
+        (x, y) for x in range(-1, 2) for y in range(-1, 2) if x * x + y * y <= 2
+    )
+    owner, points = ellipsoid_points(np.eye(1), np.array([[1e200]]), [4.0], 2**63 - 1)
+    assert len(points) == 0
+
+
+def test_ellipsoid_points_reject_a_singular_form():
+    with pytest.raises(DomainError):
+        ellipsoid_points(np.ones((2, 2)), np.zeros((1, 2)), [1.0], 3)
+    with pytest.raises(DomainError):
+        ellipsoid_points(np.array([[np.inf]]), np.zeros((1, 1)), [1.0], 3)

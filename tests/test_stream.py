@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
@@ -21,6 +21,7 @@ from specialperiods import (
 )
 from specialperiods.errors import LatticeDefect, SpecialPeriodsError
 from specialperiods.matrixio import write_period_matrix
+from specialperiods.pairings import real_products
 from specialperiods.report import positivity_sweep
 from specialperiods.siegel import box_blocks, charge_box, validate_period_matrix
 from test_record_path import _unit_base
@@ -33,16 +34,16 @@ def _streamed(dim, bound):
 
 
 def _full_box_sweep(omega, bound):
-    """The positivity sweep over the whole box at once, as the reference."""
+    """The positivity sweep over the whole box at once, as the reference.
+
+    It evaluates ``real_products``, whose rounding is the sweep's: an einsum of
+    the same form sums in another order and can differ in the last bit.
+    """
     h = omega.genus
     flat = charge_box(2 * h, bound)
     n_part = flat[:, :h].astype(float)
     m_part = flat[:, h:].astype(float)
-    left = m_part - n_part @ omega.real_part
-    values = np.pi * (
-        np.einsum("ij,jk,ik->i", left, omega.imag_inverse, left)
-        + np.einsum("ij,jk,ik->i", n_part, omega.imag_part, n_part)
-    )
+    values = real_products(omega, n_part, m_part, n_part, m_part)
     zero = len(flat) // 2
     return float(np.delete(values, zero).min()), float(values[zero])
 
@@ -138,10 +139,91 @@ def test_loose_tolerance_case_has_special_records(worked_case):
 @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
 @pytest.mark.parametrize("h,bound", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
 def test_positivity_sweep_matches_the_full_box(monkeypatch, block_rows, h, bound):
+    # the sweep enumerates an ellipsoid, so the streamed box's block size is not read
     omega = random_siegel_point(h, 20 + bound)
     reference = _full_box_sweep(omega, bound)
     monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
     assert positivity_sweep(omega, bound) == reference
+
+
+def _conditioned_matrix(h, seed, log_cond, log_scale):
+    """A matrix whose Im Omega has condition number 10^log_cond, or None if it fails validation."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((h, h)))
+    imag = (rotation * np.logspace(0, log_cond, h)) @ rotation.T * 10.0**log_scale
+    s = rng.standard_normal((h, h))
+    try:
+        return validate_period_matrix((s + s.T) / 2 + 1j * (imag + imag.T) / 2)
+    except SpecialPeriodsError:
+        return None
+
+
+@st.composite
+def _sweep_cases(draw):
+    h, bound = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        omega = random_siegel_point(h, seed)
+    else:
+        omega = _conditioned_matrix(h, seed, draw(st.floats(0, 5)), draw(st.floats(-2, 2)))
+    assume(omega is not None)
+    return omega, bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sweep_cases())
+def test_positivity_sweep_equals_the_box_oracle(case):
+    omega, bound = case
+    assert positivity_sweep(omega, bound) == _full_box_sweep(omega, bound)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "entries,expected",
+    [
+        ([[1e200 + 2e200j]], 1.5707963267948966e-200),
+        ([[1e200 + 1e200j, 5e199 + 5e199j], [5e199 + 5e199j, 1e200 + 1e200j]], 4.18879020478639e-200),
+        ([[1e150 + 2j]], 1.5707963267948966),
+        # X Y^-1 X overflows here, but the sweep never forms that Gram block
+        ([[1e200 + 2j]], 1.5707963267948966),
+    ],
+)
+@pytest.mark.parametrize("bound", [1, 3])
+def test_positivity_sweep_on_extreme_matrices(entries, expected, bound):
+    omega = validate_period_matrix(entries)
+    assert positivity_sweep(omega, bound) == _full_box_sweep(omega, bound) == (expected, 0.0)
+
+
+def test_positivity_sweep_finds_a_non_unit_minimum():
+    # off-diagonal Im Omega near the diagonal: the charge (1, -1; 0, 0) has product
+    # pi (2 - 1.8) and beats every unit charge, whose products are pi and pi / 0.19
+    omega = validate_period_matrix([[1j, 0.9j], [0.9j, 1j]])
+    units = np.eye(4)
+    unit_products = real_products(omega, units[:, :2], units[:, 2:], units[:, :2], units[:, 2:])
+    for bound in (1, 3):
+        minimum, at_zero = positivity_sweep(omega, bound)
+        assert (minimum, at_zero) == _full_box_sweep(omega, bound)
+        assert minimum == pytest.approx(0.2 * np.pi) and minimum < unit_products.min() / 4
+
+
+def _sweep_peak_bytes(omega, bound):
+    tracemalloc.start()
+    try:
+        return positivity_sweep(omega, bound), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_positivity_sweep_memory_does_not_grow_with_the_bound(conditioned):
+    # genus 6 at bound 10^4 is a box of 1.7e51 rows
+    omega = _conditioned_matrix(6, 1, 5, 0) if conditioned else random_siegel_point(6, 1)
+    results = {}
+    for bound in (3, 50, 10**4):
+        results[bound], peak = _sweep_peak_bytes(omega, bound)
+        assert peak < 16 * 2**20
+    assert results[50] == results[10**4]
+    assert results[50][0] <= results[3][0]
 
 
 def test_positivity_sweep_rejects_bound_zero():
