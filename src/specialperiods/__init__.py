@@ -29,13 +29,6 @@ from .genus2 import (
     gamma_members,
     genus2_eigenvalue_family,
 )
-from .highgenus import (
-    AnsatzTensors,
-    identity_ansatz,
-    parse_tensor_file,
-    ratio_matrix,
-    verify_ansatz_tensors,
-)
 from .pairings import (
     DualityTensors,
     area,

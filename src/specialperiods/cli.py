@@ -84,9 +84,11 @@ def _cmd_torus_fd(args, omega, out) -> int:
 
 
 def _cmd_search(args, omega, out) -> int:
-    records = special.search_solutions(
-        omega, parse_charge(args.base, omega.genus), bound=args.bound, tol=args.tol
-    )
+    base = parse_charge(args.base, omega.genus)
+    try:
+        records = special.search_solutions(omega, base, bound=args.bound, tol=args.tol)
+    except ValueError as exc:  # a --bound past the floats' exact integers
+        raise ParseError(str(exc)) from exc
     _row(out, "# n m re_c im_c lambda_c degree classification")
     for rec in records:
         _row(

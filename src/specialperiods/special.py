@@ -205,11 +205,10 @@ def _plane_rows(omega, v, bound: int, tol: float):
     2h - 2, so exact solutions form a real 2-plane.  The 2 free coordinates are those whose
     complement K_d (columns scaled alike) has the largest smallest singular value; each
     free pair leaves every dependent coordinate of an accepted row in a short interval.
-    None at genus one, where K is empty, or if a magnitude in the bound below is not finite.
+    At genus one K is empty, so the free pair is the whole charge and every row is listed.
+    None if a magnitude in the bound below is not finite.
     """
     h = omega.genus
-    if h == 1:
-        return None
     anchor = int(np.argmax(np.abs(v)))
     # images of the unit charges: the rows of -Omega for n, of the identity for m
     units = np.concatenate([-omega.entries, np.eye(h)])
@@ -227,10 +226,12 @@ def _plane_rows(omega, v, bound: int, tol: float):
     limit = (tol * np.max(np.abs(v)) + 64 * h * eps * (bound * mag + tiny)) * (1 + 4 * eps)
     if not (np.isfinite(lin).all() and np.isfinite([limit, 4 * bound * mag]).all()):
         return None
-    k = np.concatenate([lin.real.T, lin.imag.T])
-    scaled = k / np.maximum(np.abs(k).max(axis=0), tiny)  # n and m columns differ in scale by |Omega|
+    k = np.concatenate([lin.real.T, lin.imag.T])  # 0 x 2 at genus one, hence the initial= below
+    scaled = k / np.maximum(np.abs(k).max(axis=0, initial=0), tiny)  # n and m columns differ in scale by |Omega|
     pairs = itertools.combinations(range(2 * h), 2)
-    free = list(max(pairs, key=lambda f: np.linalg.svd(np.delete(scaled, f, axis=1), compute_uv=False)[-1]))
+    free = list(
+        max(pairs, key=lambda f: np.linalg.svd(np.delete(scaled, f, axis=1), compute_uv=False).min(initial=np.inf))
+    )
     dep = [i for i in range(2 * h) if i not in free]
     # For any Z, x_d = Z (K x - K_f x_f) + (I - Z K_d) x_d.  With W = fl(Z K_f) and
     # P = fl(Z K_d), dot products of 2h - 2 terms, x_d lies within |Z| 1 limit +
@@ -264,13 +265,17 @@ def _plane_rows(omega, v, bound: int, tol: float):
 def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> list:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
-    The kernel scans the rows of ``_plane_rows`` in one call or, where that is
-    None, the box in blocks of at most ``siegel.BLOCK_ROWS`` rows; either way it
-    decides every record, and memory does not grow with the bound.  Records
-    are sorted lexicographically by (n', m').
+    The kernel scans the rows of ``_plane_rows`` in one call, at every genus.
+    Only where that is None, on entries near the float range, does it scan the
+    box, in blocks of at most ``siegel.BLOCK_ROWS`` rows.  Either way it decides
+    every record, and memory follows the candidates, not the box.  Records are
+    sorted lexicographically by (n', m').  A bound past 2^52 raises ValueError:
+    the plane's interval ends are floats, which hold every integer only up to 2^53.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if bound > 2**52:
+        raise ValueError("bound must be at most 2**52, got %d" % bound)
     v = base_image(omega, base)
     h = omega.genus
     blocks = [_plane_rows(omega, v, bound, tol)]

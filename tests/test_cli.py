@@ -339,6 +339,8 @@ _G2 = ["--omega11", "0+1i", "--omega12", "0+0.5i", "--N2", "1", "--N3", "0", "--
         ["search", "MATRIX", *_WORKED, "--bound", "0"],
         ["search", "MATRIX", *_WORKED, "--tol", "0"],
         ["search", "MATRIX", *_WORKED, "--tol", "inf"],
+        # floats hold every integer only up to 2^53, and the plane's interval ends are floats
+        ["search", "MATRIX", *_WORKED, "--bound", "100000000000000000000"],
         ["cm-check", "MATRIX", *_WORKED, "--probe", "0,0;1,2", "--tol", "nan"],
         ["torus", "--tau", "0+1i", "--max", "-1"],
         ["torus-fd", "--tau", "0+1i", "--resolution", "8"],
