@@ -10,7 +10,6 @@ from .differentials import (
 from .errors import (
     AsymmetryError,
     BadRationality,
-    ConvergenceDomain,
     DegenerateBase,
     DegenerateCharge,
     DomainError,
@@ -60,8 +59,6 @@ from .special import (
     cover_data,
     cover_degree,
     cover_monodromy,
-    psf_check,
-    psf_coefficient,
     search_solutions,
     solution_record,
     solve_c,

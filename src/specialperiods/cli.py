@@ -65,7 +65,10 @@ def _cmd_validate(args, omega, out) -> int:
 
 
 def _cmd_torus(args, omega, out) -> int:
-    table = torus.spectrum_table(args.tau, args.max)
+    try:
+        table = torus.spectrum_table(args.tau, args.max)
+    except ValueError as exc:  # a --max box too large for numpy
+        raise ParseError(str(exc)) from exc
     _row(out, "# n m re_c im_c lambda mu")
     for entry in table:
         _row(out, *entry.charge, entry.c.real, entry.c.imag, entry.lam, entry.mu)
@@ -73,7 +76,10 @@ def _cmd_torus(args, omega, out) -> int:
 
 
 def _cmd_torus_fd(args, omega, out) -> int:
-    table = torus.spectrum_table(args.tau, args.max)
+    try:
+        table = torus.spectrum_table(args.tau, args.max)
+    except ValueError as exc:  # a --max box too large for numpy
+        raise ParseError(str(exc)) from exc
     _row(out, "# n m lambda resid_N resid_2N ratio")
     for entry in table:
         n, m = entry.charge
@@ -145,24 +151,6 @@ def _cmd_cm_check(args, omega, out) -> int:
     return 0
 
 
-def _cmd_psf_check(args, omega, out) -> int:
-    base = parse_charge(args.base, omega.genus)
-    probe = parse_charge(args.probe, omega.genus)
-    index = args.index - 1  # CLI is 1-based
-    if index >= omega.genus:
-        raise ParseError("--index must be between 1 and %d" % omega.genus)
-    lhs, rhs, residual = special.psf_check(omega, base, probe, j=index, trunc=args.trunc)
-    d_base = special.psf_coefficient(omega, base)[index]
-    d_probe = special.psf_coefficient(omega, probe)[index]
-    _row(out, "d_base", format_complex(d_base))
-    _row(out, "d_probe", format_complex(d_probe))
-    _row(out, "ratio", format_complex(d_probe / d_base))
-    _row(out, "lhs", format_complex(lhs))
-    _row(out, "rhs", format_complex(rhs))
-    _row(out, "residual", residual)
-    return 0
-
-
 def _cmd_report(args, omega, out) -> int:
     try:
         worst = report.run_identity_suite(
@@ -187,7 +175,6 @@ _DISPATCH = {
     "search": _cmd_search,
     "construct-g2": _cmd_construct_g2,
     "cm-check": _cmd_cm_check,
-    "psf-check": _cmd_psf_check,
     "report": _cmd_report,
 }
 
@@ -282,13 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--probe", required=True)
     add_common(p)
-
-    p = sub.add_parser("psf-check", help="lattice-sum reciprocity for one probe")
-    add_matrix(p)
-    p.add_argument("--base", required=True)
-    p.add_argument("--probe", required=True)
-    p.add_argument("--index", type=_int_at_least(1), default=1, help="component (1-based)")
-    p.add_argument("--trunc", type=_int_at_least(0), default=30)
 
     p = sub.add_parser("report", help="run the identity suite on a matrix")
     add_matrix(p)

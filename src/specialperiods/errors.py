@@ -37,10 +37,6 @@ class NotIntegralDegree(SpecialPeriodsError):
     """The record has no torus cover, or its covering degree is not positive."""
 
 
-class ConvergenceDomain(SpecialPeriodsError):
-    """A lattice-sum ratio has nonpositive real part, so the sums diverge."""
-
-
 class NotInGamma(SpecialPeriodsError):
     """A genus-one seed point does not admit an integral completion."""
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .differentials import d_matrix, lattice_image, period_of
+from .differentials import lattice_image, period_of
 from .errors import (
-    ConvergenceDomain,
     DegenerateBase,
     DomainError,
     LatticeDefect,
@@ -402,48 +401,3 @@ def cm_witness_from_record(base: LatticeCharge, record: SolutionRecord):
         tuple(-m for m in effective.m),
         tuple(-n for n in effective.n),
     )
-
-
-def psf_coefficient(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
-    """Column sums of the conjugated role-swapped charge matrix.
-
-    The roles of n and m are swapped deliberately before conjugating, which
-    collapses to n - Omega m.
-    """
-    swapped = LatticeCharge(charge.m, charge.n)
-    return np.conj(d_matrix(omega, swapped)).sum(axis=0)
-
-
-def _theta_sum(x: complex, trunc: int) -> complex:
-    ks = np.arange(-trunc, trunc + 1)
-    return complex(np.sum(np.exp(-(ks.astype(float) ** 2) * np.pi * x)))
-
-
-def psf_check(
-    omega: PeriodMatrix,
-    base: LatticeCharge,
-    probe: LatticeCharge,
-    j: int,
-    trunc: int = 30,
-):
-    """Both sides of the lattice-sum reciprocity for component j.
-
-    Returns (lhs, rhs, |lhs - rhs|) where lhs sums exp(-k^2 pi D'_j / D_j)
-    and rhs is sqrt(D_j / D'_j) times the reciprocal sum.  The ratio must
-    have positive real part for either sum to converge.
-    """
-    d_base = psf_coefficient(omega, base)
-    d_probe = psf_coefficient(omega, probe)
-    if not 0 <= j < omega.genus:
-        raise ValueError("component index out of range")
-    dj, dpj = complex(d_base[j]), complex(d_probe[j])
-    if abs(dj) < _BASE_EPS or abs(dpj) < _BASE_EPS:
-        raise ConvergenceDomain("a lattice-sum coefficient vanishes")
-    ratio = dpj / dj
-    if ratio.real <= 0:
-        raise ConvergenceDomain(
-            "ratio has nonpositive real part (%.6e)" % ratio.real
-        )
-    lhs = _theta_sum(ratio, trunc)
-    rhs = complex(np.sqrt(dj / dpj)) * _theta_sum(1.0 / ratio, trunc)
-    return lhs, rhs, abs(lhs - rhs)

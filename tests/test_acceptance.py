@@ -11,7 +11,6 @@ import numpy as np
 from conftest import run_cli
 
 from specialperiods import (
-    ConvergenceDomain,
     CyclePair,
     LatticeCharge,
     PeriodMatrix,
@@ -22,8 +21,6 @@ from specialperiods import (
     fd_eigen_residual,
     modular_transform_tau,
     mu_covariance_residual,
-    psf_check,
-    psf_coefficient,
     random_modular_matrix,
     random_siegel_point,
     real_product,
@@ -215,52 +212,6 @@ def test_c08_search_determinism(fixture_matrix_path, monkeypatch):
     ok = ok and len({out for _, out in outputs}) == 1
     detail = "byte-identical output for two repeated runs and BLOCK_ROWS 1, 121, 16384"
     _verdict(8, "search-determinism", ok, detail)
-
-
-def test_c09_psf_identity():
-    rng = np.random.default_rng(55)
-    worst = 0.0
-    accepted = 0
-    while accepted < 50:
-        h = int(rng.integers(1, 3))
-        omega = random_siegel_point(h, seed=int(rng.integers(0, 10_000)))
-        base = LatticeCharge(
-            tuple(int(x) for x in rng.integers(-3, 4, size=h)),
-            tuple(int(x) for x in rng.integers(-3, 4, size=h)),
-        )
-        probe = LatticeCharge(
-            tuple(int(x) for x in rng.integers(-3, 4, size=h)),
-            tuple(int(x) for x in rng.integers(-3, 4, size=h)),
-        )
-        j = int(rng.integers(0, h))
-        d_base = psf_coefficient(omega, base)[j]
-        d_probe = psf_coefficient(omega, probe)[j]
-        if abs(d_base) < 1e-9 or abs(d_probe) < 1e-9:
-            continue
-        ratio = d_probe / d_base
-        # keep the tails of both truncated sums below the tolerance
-        if ratio.real < 0.05 or (1 / ratio).real < 0.05:
-            continue
-        accepted += 1
-        _, _, residual = psf_check(omega, base, probe, j=j, trunc=30)
-        worst = max(worst, residual)
-    domain_ok = False
-    try:
-        psf_check(
-            PeriodMatrix.from_tau(1j),
-            LatticeCharge((0,), (1,)),
-            LatticeCharge((1,), (0,)),
-            j=0,
-        )
-    except ConvergenceDomain:
-        domain_ok = True
-    ok = worst <= 1e-10 and domain_ok
-    _verdict(
-        9,
-        "psf-identity",
-        ok,
-        "worst residual %.3e over 50 cases, domain guard %s" % (worst, domain_ok),
-    )
 
 
 def test_c10_cm_witness(worked_case):

@@ -27,7 +27,6 @@ CASES = {
     "cm-check-special": ["cm-check", MATRIX, "--base", BASE, "--probe", "0,0;1,2"],
     "cm-check-collinear": ["cm-check", MATRIX, "--base", BASE, "--probe", "2,2;2,4"],
     "cm-check-rejected": ["cm-check", MATRIX, "--base", BASE, "--probe", "2,-1;1,-1"],
-    "psf-check": ["psf-check", MATRIX, "--base", BASE, "--probe", "0,0;1,2", "--index", "1"],
     "report": ["report", MATRIX],
 }
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from specialperiods import (
-    ConvergenceDomain,
     CyclePair,
     DegenerateBase,
     LatticeCharge,
@@ -20,8 +19,6 @@ from specialperiods import (
     cover_data,
     cover_degree,
     cover_monodromy,
-    psf_check,
-    psf_coefficient,
     random_siegel_point,
     search_solutions,
     solution_record,
@@ -250,43 +247,3 @@ def test_cm_relation_check_examples(worked_case):
     assert cm_relation_check(omega, 0.3 + 0.9j, (0, 0), (0, 0), (0, 0), (0, 0)) == 0
     perturbed = (m_prime[0] + 1, m_prime[1])
     assert cm_relation_check(omega, record.c_conj, m_vec, n_vec, perturbed, n_prime) > 0.9
-
-
-def test_psf_coefficient_and_check():
-    omega = PeriodMatrix.from_tau(1j)
-    base = LatticeCharge((1,), (1,))
-    probe = LatticeCharge((0,), (1,))
-    assert psf_coefficient(omega, base)[0] == pytest.approx(1 - 1j)
-    assert psf_coefficient(omega, probe)[0] == pytest.approx(-1j)
-    lhs, rhs, residual = psf_check(omega, base, probe, j=0, trunc=30)
-    assert residual < 1e-10
-    # ratio (0 - 1j) / (1 - 0j)... swapped roles put the ratio on the
-    # imaginary axis, outside the convergence half plane
-    with pytest.raises(ConvergenceDomain):
-        psf_check(omega, LatticeCharge((0,), (1,)), LatticeCharge((1,), (0,)), j=0)
-
-
-def test_psf_trivial_equal_coefficients(worked_case):
-    _, omega, base = worked_case
-    lhs, rhs, residual = psf_check(omega, base, base, j=0, trunc=30)
-    assert residual < 1e-14
-    assert lhs == pytest.approx(rhs)
-
-
-def test_psf_against_mpmath_oracle():
-    mpmath = pytest.importorskip("mpmath")
-    omega = PeriodMatrix.from_tau(1j)
-    base = LatticeCharge((1,), (1,))
-    probe = LatticeCharge((0,), (1,))
-    lhs, _, _ = psf_check(omega, base, probe, j=0, trunc=30)
-    ratio = psf_coefficient(omega, probe)[0] / psf_coefficient(omega, base)[0]
-    with mpmath.workdps(30):
-        q = mpmath.exp(-mpmath.pi * mpmath.mpc(ratio.real, ratio.imag))
-        expected = complex(mpmath.jtheta(3, 0, q))
-    assert lhs == pytest.approx(expected, abs=1e-12)
-
-
-def test_psf_index_validation(worked_case):
-    _, omega, base = worked_case
-    with pytest.raises(ValueError):
-        psf_check(omega, base, base, j=5)
