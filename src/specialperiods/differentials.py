@@ -36,12 +36,6 @@ def primitive_coeffs(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
     return coeff_rows(omega, charge.n_vec, charge.m_vec)
 
 
-def d_matrix(omega: PeriodMatrix, charge: LatticeCharge) -> np.ndarray:
-    """Charge-weighted matrix D_kj = m_k delta_kj - n_k conj(Omega)_kj."""
-    n, m = charge.n_vec, charge.m_vec
-    return np.diag(m).astype(complex) - n[:, None] * omega.entries.conj()
-
-
 def eta_bases(omega: PeriodMatrix) -> tuple:
     """Coefficient rows (eta1, eta2) of the two distinguished bases.
 
@@ -64,13 +58,6 @@ def period_of(omega: PeriodMatrix, coeffs, cycle: CyclePair) -> complex:
     """Period of sum_k coeffs_k omega_k over the cycle p.alpha + q.beta."""
     coeffs = np.asarray(coeffs, dtype=complex)
     return complex(periods(omega, coeffs, cycle.q_vec, cycle.p_vec))
-
-
-def eta_decomposition_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:
-    """Residual of c_{n,m} = m . eta1 + n . eta2."""
-    eta1, eta2 = eta_bases(omega)
-    recombined = charge.m_vec @ eta1 + charge.n_vec @ eta2
-    return float(np.max(np.abs(primitive_coeffs(omega, charge) - recombined)))
 
 
 def eta_row_identity_residual(omega: PeriodMatrix) -> float:
@@ -96,10 +83,3 @@ def eta_period_residual(omega: PeriodMatrix) -> float:
         (eta2 @ omega.entries).imag,
     )
     return float(np.max(np.abs(defects)))
-
-
-def d_matrix_contraction_residual(omega: PeriodMatrix, charge: LatticeCharge) -> float:
-    """Residual of c_k = pi * sum_{j,l} D_jl (Im Omega)^{-1}_{lk}."""
-    d = d_matrix(omega, charge)
-    contracted = np.pi * (d.sum(axis=0) @ omega.imag_inverse)
-    return float(np.max(np.abs(contracted - primitive_coeffs(omega, charge))))

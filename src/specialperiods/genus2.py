@@ -16,9 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadRationality, NotInGamma
-from .pairings import area
 from .siegel import LatticeCharge, PeriodMatrix, charge_box, validate_period_matrix
-from .special import solve_c
 
 BRANCH_PLUS = "+"
 BRANCH_MINUS = "-"
@@ -125,41 +123,3 @@ def gamma_members(params: Genus2Params, branch: str, bound: int) -> list:
         except NotInGamma:
             continue
     return members
-
-
-def genus2_eigenvalue_family(
-    omega: PeriodMatrix,
-    params: Genus2Params,
-    branch: str,
-    base1,
-    probe1,
-) -> float:
-    """Closed-form eigenvalue for a (base seed, probe seed) pair of one family.
-
-    Both seeds are completed to genus-2 charges; the eigenvalue comes from the
-    family's explicit ratio and is cross-checked against the generic
-    scale-factor route.
-    """
-    base = gamma_complete(params, branch, *base1)
-    probe = gamma_complete(params, branch, *probe1)
-    o11 = complex(params.omega11)
-    o12 = complex(params.omega12)
-    if branch == BRANCH_PLUS:
-        weight = complex(params.M)
-        slope = weight * o11 + o12
-    else:
-        weight = complex(params.N2 + params.M)
-        slope = weight * o11 - o12
-    numer = abs(weight * probe1[1] - probe1[0] * slope) ** 2
-    denom = abs(weight * base1[1] - base1[0] * slope) ** 2
-    lam = 2.0 * area(omega, base) * numer / denom
-
-    # independent route through the generic ratio machinery
-    c = solve_c(omega, base, probe, tol=1e-9)
-    lam_generic = 2.0 * area(omega, base) * abs(c) ** 2
-    if abs(lam - lam_generic) > 1e-10 * max(1.0, lam):
-        raise ValueError(
-            "family eigenvalue %.15g disagrees with the generic route %.15g"
-            % (lam, lam_generic)
-        )
-    return float(lam)

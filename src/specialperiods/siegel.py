@@ -1,4 +1,4 @@
-"""Period matrices, integer charge vectors, and the genus-one modular action.
+"""Period matrices, integer charge vectors, and the integer points of boxes.
 
 A point of the moduli space is a symmetric complex h x h matrix whose
 imaginary part is positive definite.  Integer data comes in two flavours:
@@ -280,93 +280,9 @@ class CyclePair:
         return np.asarray(self.p, dtype=float)
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
-    """Integer matrix ((a, b), (c, d)) with unit determinant."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
-
-    @classmethod
-    def identity(cls) -> "ModularMatrix":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls) -> "ModularMatrix":
-        return cls(1, 1, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "ModularMatrix":
-        return cls(0, -1, 1, 0)
-
-    def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        return ModularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "ModularMatrix":
-        return ModularMatrix(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-
 def checked_modulus(tau: complex) -> complex:
     """``tau`` as a complex number; DomainError unless finite with Im tau > 0."""
     tau = complex(tau)
     if not (np.isfinite(tau) and tau.imag > 0):
         raise DomainError("modulus must be finite with positive imaginary part, got %r" % tau)
     return tau
-
-
-def modular_transform_tau(gamma: ModularMatrix, tau: complex) -> complex:
-    """Moebius action (a tau + b) / (c tau + d) on the upper half plane."""
-    tau = checked_modulus(tau)
-    denom = gamma.c * tau + gamma.d
-    if denom == 0:
-        raise DomainError("c tau + d vanished")
-    return (gamma.a * tau + gamma.b) / denom
-
-
-def modular_transform_charge(gamma: ModularMatrix, charge: LatticeCharge) -> LatticeCharge:
-    """Companion action on a genus-one charge: ((a, b), (c, d)) applied to (m, n)."""
-    if charge.genus != 1:
-        raise ValueError("the modular charge action is defined at genus one only")
-    m, n = charge.m[0], charge.n[0]
-    m_new = gamma.a * m + gamma.b * n
-    n_new = gamma.c * m + gamma.d * n
-    return LatticeCharge((n_new,), (m_new,))
-
-
-def random_modular_matrix(rng, max_entry: int = 10, max_steps: int = 20) -> ModularMatrix:
-    """Random word in the standard generators, kept within an entry bound.
-
-    Draws from the given numpy Generator, so results are reproducible from
-    the caller's seed.  The walk stops early when the next step would exceed
-    the bound; the identity is a possible (rare) outcome.
-    """
-    generators = (
-        ModularMatrix.translation(),
-        ModularMatrix.translation().inverse(),
-        ModularMatrix.inversion(),
-    )
-    gamma = ModularMatrix.identity()
-    steps = int(rng.integers(1, max_steps + 1))
-    for _ in range(steps):
-        candidate = gamma @ generators[int(rng.integers(0, 3))]
-        if candidate.max_entry > max_entry:
-            break
-        gamma = candidate
-    return gamma

@@ -10,7 +10,7 @@ classification, scanning only the integer points near the plane of solutions,
 in one thread, so a run's records are reproducible.
 
 Every record takes one path, whether it comes from the box search or from a
-single probe (``solution_record``, ``solve_c``): the acceptance kernel
+single probe (``solution_record``): the acceptance kernel
 ``_scan_rows``, the sign and classification rule ``_normalize``, and the
 record builder ``_record``.
 """
@@ -78,16 +78,6 @@ def base_image(omega: PeriodMatrix, base: LatticeCharge) -> np.ndarray:
     return v
 
 
-def consistency_ratios(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCharge) -> np.ndarray:
-    """Componentwise ratios of probe image to base image.
-
-    The probe solves the proportionality problem precisely when all ratios
-    agree; their common value is the conjugate of the scale factor.
-    """
-    v = base_image(omega, base)
-    return lattice_image(omega, probe) / v
-
-
 def _scan_rows(omega, v, rows: np.ndarray):
     """The acceptance kernel: conjugate scale factor and residual of each probe.
 
@@ -147,7 +137,10 @@ def _normalize(cbar: complex, tol: float):
 def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     sign, c, classification = _normalize(cbar, tol)
     base_area = area(omega, base)
-    c_squared = abs(c) ** 2
+    try:
+        c_squared = abs(c) ** 2
+    except OverflowError:  # |c| past about 1.3e154: the check below reports lambda_c
+        c_squared = math.inf
     lambda_c = 2.0 * base_area * c_squared
     probe_area = area(omega, probe)
     # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
@@ -176,15 +169,6 @@ def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     return record
 
 
-def solve_c(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCharge, tol: float) -> complex:
-    """Scale factor of an accepted probe, sign-normalized.
-
-    The returned value c satisfies (for the probe up to an overall sign flip)
-    image(probe) = conj(c) * image(base), with Im conj(c) >= -tol.
-    """
-    return _normalize(_accept_probe(omega, base, probe, tol), tol)[1]
-
-
 def solution_record(
     omega: PeriodMatrix,
     base: LatticeCharge,
@@ -192,7 +176,9 @@ def solution_record(
     tol: float,
 ) -> SolutionRecord:
     """Build the full record for one accepted probe, as the box search would."""
-    return _record(omega, base, probe, _accept_probe(omega, base, probe, tol), tol)
+    cbar = _accept_probe(omega, base, probe, tol)
+    with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
+        return _record(omega, base, probe, cbar, tol)
 
 
 def _plane_rows(omega, v, bound: int, tol: float):
@@ -248,8 +234,9 @@ def _plane_rows(omega, v, bound: int, tol: float):
     found = []
     for rows in box_blocks(2, bound):
         centre = -(rows[:, :1] * w[:, 0] + rows[:, 1:] * w[:, 1])
-        lo = np.ceil(np.maximum(np.nextafter(centre - radius, -np.inf), -bound)).astype(np.int64)
-        hi = np.floor(np.minimum(np.nextafter(centre + radius, np.inf), bound)).astype(np.int64)
+        # clipped to +-(bound + 1), exact floats, so that ends far outside the box fit int64
+        lo = np.ceil(np.clip(np.nextafter(centre - radius, -np.inf), -bound, bound + 1)).astype(np.int64)
+        hi = np.floor(np.clip(np.nextafter(centre + radius, np.inf), -bound - 1, bound)).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
         for j in range(2 * h - 2):  # append every integer of dep[j]'s interval to each row
             n = counts[:, j]
@@ -280,12 +267,9 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     blocks = [_plane_rows(omega, v, bound, tol)]
     if blocks[0] is None:
         blocks = box_blocks(2 * h, bound)
-    records = []
-    for rows in blocks:
-        for flat, cbar in _accepted(omega, v, rows[rows.any(axis=1)], tol):
-            probe = LatticeCharge(flat[:h], flat[h:])
-            records.append(_record(omega, base, probe, cbar, tol))
-    return records
+    accepted = [pair for rows in blocks for pair in _accepted(omega, v, rows[rows.any(axis=1)], tol)]
+    with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
+        return [_record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol) for flat, cbar in accepted]
 
 
 def _cover_probe(record: SolutionRecord) -> LatticeCharge:

@@ -1,4 +1,4 @@
-"""Genus-one spectrum, modular covariance, and grid checks of the eigenflow.
+"""Genus-one spectrum and finite-difference checks of the eigenflow.
 
 The flat Laplacian used throughout this module is -2 d_z d_zbar.  Its
 eigenfunctions on the torus of modulus tau are pure phases labelled by an
@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .siegel import (
-    LatticeCharge, ModularMatrix, charge_box, checked_modulus, modular_transform_charge,
-    modular_transform_tau,
-)
+from .siegel import charge_box, checked_modulus
 
-DEFAULT_ETA_TERMS = 64
 FD_MIN_RESOLUTION = 16
 
 
@@ -40,15 +36,6 @@ def torus_eigenvalue(tau: complex, n: int, m: int) -> TorusSpectrumEntry:
     return TorusSpectrumEntry(charge=(int(n), int(m)), c=complex(c), lam=float(lam), mu=float(tau.imag * lam), tau=tau)
 
 
-def mu_covariance_residual(tau: complex, gamma: ModularMatrix, n: int, m: int) -> float:
-    """|mu at the transformed (modulus, charge) minus mu at the original pair|."""
-    entry = torus_eigenvalue(tau, n, m)
-    moved = modular_transform_charge(gamma, LatticeCharge((n,), (m,)))
-    tau_moved = modular_transform_tau(gamma, tau)
-    entry_moved = torus_eigenvalue(tau_moved, moved.n[0], moved.m[0])
-    return abs(entry_moved.mu - entry.mu)
-
-
 def _eigenfunction(entry: TorusSpectrumEntry, x, y):
     """exp(c z - conj(c z)) at z = x + tau y."""
     # z is named: numpy would multiply a temporary in place, which rounds differently
@@ -66,25 +53,6 @@ def sample_eigenfunction(tau: complex, n: int, m: int, N: int) -> np.ndarray:
         raise ValueError("grid resolution must be at least 8")
     coords = np.arange(N) / N
     return _eigenfunction(torus_eigenvalue(tau, n, m), coords[:, None], coords[None, :])
-
-
-def grid_inner_product(f: np.ndarray, g: np.ndarray) -> complex:
-    """Quadrature of f conj(g) against the normalized flat area measure.
-
-    On the periodic grid the trapezoid rule collapses to the plain mean.
-    """
-    if f.shape != g.shape:
-        raise ValueError("grids must share a resolution")
-    return complex(np.mean(f * np.conj(g)))
-
-
-def wraparound_residual(tau: complex, n: int, m: int, N: int) -> float:
-    """Mismatch of the sampled eigenfunction across both cell boundaries."""
-    entry = torus_eigenvalue(tau, n, m)
-    coords = np.arange(N) / N
-    dx = np.max(np.abs(_eigenfunction(entry, 1.0, coords) - _eigenfunction(entry, 0.0, coords)))
-    dy = np.max(np.abs(_eigenfunction(entry, coords, 1.0) - _eigenfunction(entry, coords, 0.0)))
-    return float(max(dx, dy))
 
 
 def _fd_laplacian(samples: np.ndarray, tau: complex, N: int) -> np.ndarray:
@@ -126,20 +94,6 @@ def fd_eigen_residual(tau: complex, n: int, m: int, N: int):
     target = entry.lam * samples
     residual = np.linalg.norm(applied - target) / np.linalg.norm(target)
     return entry.lam, float(residual)
-
-
-def dedekind_eta(tau: complex, terms: int = DEFAULT_ETA_TERMS) -> complex:
-    """Truncated product q^{1/24} prod_{k<=terms} (1 - q^k), q = exp(2 pi i tau)."""
-    tau = checked_modulus(tau)
-    if terms < 1:
-        raise ValueError("need at least one product term")
-    q = np.exp(2j * np.pi * tau)
-    value = np.exp(2j * np.pi * tau / 24)
-    power = 1.0 + 0j
-    for _ in range(terms):
-        power *= q
-        value *= 1.0 - power
-    return complex(value)
 
 
 def spectrum_table(tau: complex, max_component: int) -> list:

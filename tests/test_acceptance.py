@@ -17,19 +17,22 @@ from specialperiods import (
     area,
     cm_relation_check,
     cm_witness_from_record,
-    dedekind_eta,
     fd_eigen_residual,
-    modular_transform_tau,
-    mu_covariance_residual,
-    random_modular_matrix,
     random_siegel_point,
-    real_product,
     search_solutions,
     siegel,
     solution_record,
     torus_eigenvalue,
 )
 from specialperiods.report import positivity_sweep, run_identity_suite
+
+from oracles import (
+    dedekind_eta,
+    modular_transform_tau,
+    mu_covariance_residual,
+    random_modular_matrix,
+    real_product,
+)
 
 PI = np.pi
 

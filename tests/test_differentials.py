@@ -5,18 +5,14 @@ from specialperiods import (
     CyclePair,
     LatticeCharge,
     PeriodMatrix,
-    d_matrix,
     eta_bases,
     period_of,
     primitive_coeffs,
     random_siegel_point,
 )
-from specialperiods.differentials import (
-    d_matrix_contraction_residual,
-    eta_decomposition_residual,
-    eta_period_residual,
-    eta_row_identity_residual,
-)
+from specialperiods.differentials import eta_period_residual, eta_row_identity_residual
+
+from oracles import d_matrix, d_matrix_contraction_residual, eta_decomposition_residual
 
 PI = np.pi
 

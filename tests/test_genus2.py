@@ -12,12 +12,11 @@ from specialperiods import (
     NotPositiveDefinite,
     area,
     build_special_genus2,
-    consistency_ratios,
     gamma_complete,
     gamma_members,
-    genus2_eigenvalue_family,
-    solve_c,
 )
+
+from oracles import consistency_ratios, genus2_eigenvalue_family, solve_c
 
 PI = np.pi
 

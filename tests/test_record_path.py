@@ -9,8 +9,9 @@ from specialperiods import (
     random_siegel_point,
     search_solutions,
     solution_record,
-    solve_c,
 )
+
+from oracles import solve_c
 
 TOL = 1e-9
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from specialperiods import differentials, pairings
+from specialperiods import differentials
 from specialperiods.pairings import integer_pairings
 from specialperiods.report import draw_trials, run_identity_suite
-from specialperiods.siegel import CyclePair, LatticeCharge, PeriodMatrix, random_siegel_point
+from specialperiods.siegel import (
+    CyclePair, LatticeCharge, PeriodMatrix, random_siegel_point, validate_period_matrix
+)
+
+import oracles
 
 NAMES = [
     "herm-vs-period",
@@ -37,7 +41,7 @@ def _sequential_draws(rng, trials, h, bound):
 
 
 def _reference_suite(omega, trials, seed, charge_bound):
-    """Worst residual per identity from the per-charge functions, one trial at a time."""
+    """Worst residual per identity from the per-charge oracles, one trial at a time."""
     worst = {}
 
     def record(name, value):
@@ -46,22 +50,22 @@ def _reference_suite(omega, trials, seed, charge_bound):
     rng = np.random.default_rng(seed)
     for n, m, q, p in _sequential_draws(rng, trials, omega.genus, charge_bound):
         nm, qp_charge, cycle = LatticeCharge(n, m), LatticeCharge(q, p), CyclePair(q, p)
-        record("herm-vs-period", pairings.herm_period_residual(omega, nm, cycle))
-        record("herm-imag-integrality", pairings.imag_integrality_residual(omega, nm, cycle))
-        record("herm-conjugation-shift", pairings.conjugation_residual(omega, nm, cycle))
-        record("herm-basis-factorization", pairings.factorization_residual(omega, nm, cycle))
-        record("real-product-symmetry", pairings.real_symmetry_residual(omega, nm, cycle))
-        record("herm-vs-real-product", pairings.herm_real_link_residual(omega, nm, cycle))
-        record("self-pairing-real", pairings.self_pairing_residual(omega, nm))
-        record("real-product-coefficient-form", pairings.coeff_form_residual(omega, nm, cycle))
-        record("wedge-vs-herm", pairings.wedge_herm_residual(omega, nm, qp_charge))
-        record("wedge-order-defect", pairings.wedge_swap_residual(omega, nm, qp_charge))
-        record("wedge-imag-antisymmetry", pairings.wedge_imag_swap_residual(omega, nm, qp_charge))
-        record("coeffs-eta-decomposition", differentials.eta_decomposition_residual(omega, nm))
-        record("duality-fixes-coefficients", pairings.duality_canonical_residual(omega, nm))
+        record("herm-vs-period", oracles.herm_period_residual(omega, nm, cycle))
+        record("herm-imag-integrality", oracles.imag_integrality_residual(omega, nm, cycle))
+        record("herm-conjugation-shift", oracles.conjugation_residual(omega, nm, cycle))
+        record("herm-basis-factorization", oracles.factorization_residual(omega, nm, cycle))
+        record("real-product-symmetry", oracles.real_symmetry_residual(omega, nm, cycle))
+        record("herm-vs-real-product", oracles.herm_real_link_residual(omega, nm, cycle))
+        record("self-pairing-real", oracles.self_pairing_residual(omega, nm))
+        record("real-product-coefficient-form", oracles.coeff_form_residual(omega, nm, cycle))
+        record("wedge-vs-herm", oracles.wedge_herm_residual(omega, nm, qp_charge))
+        record("wedge-order-defect", oracles.wedge_swap_residual(omega, nm, qp_charge))
+        record("wedge-imag-antisymmetry", oracles.wedge_imag_swap_residual(omega, nm, qp_charge))
+        record("coeffs-eta-decomposition", oracles.eta_decomposition_residual(omega, nm))
+        record("duality-fixes-coefficients", oracles.duality_canonical_residual(omega, nm))
         if not nm.is_zero:
-            record("winding-area-exponent", pairings.winding_area_residual(omega, nm))
-            record("area-vs-real-product", pairings.area_real_product_residual(omega, nm))
+            record("winding-area-exponent", oracles.winding_area_residual(omega, nm))
+            record("area-vs-real-product", oracles.area_real_product_residual(omega, nm))
     record("eta-period-normalization", differentials.eta_period_residual(omega))
     record("eta-row-identity", differentials.eta_row_identity_residual(omega))
     return worst
@@ -127,6 +131,21 @@ def test_nan_entry_fails_every_identity():
         assert np.isnan(value), name
         assert not value <= 1e-9
     assert np.isnan(differentials.eta_period_residual(omega))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the other identities overflow at 5e307
+@pytest.mark.parametrize(
+    "entries",
+    [random_siegel_point(3, seed=3).entries * 1e-150, np.array([[5e307j]])],
+    ids=["tiny", "huge"],
+)
+def test_duality_row_at_extreme_scales(entries):
+    # pi (Im Omega)^-1 reaches 1e150 in the tiny matrix, and n Im(Omega) overflows in
+    # the huge one; d2 still equals the coefficients to rounding, relative to their size
+    omega = validate_period_matrix(entries)
+    worst = run_identity_suite(omega, trials=50, seed=3)
+    assert list(worst) == NAMES
+    assert worst["duality-fixes-coefficients"] <= 1e-14 * np.abs(omega.imag_inverse).max() + 1e-300
 
 
 def test_zero_bound_reports_no_area_rows():

@@ -5,15 +5,18 @@ from specialperiods import (
     AsymmetryError,
     DomainError,
     LatticeCharge,
-    ModularMatrix,
     NotPositiveDefinite,
-    modular_transform_charge,
-    modular_transform_tau,
-    random_modular_matrix,
     random_siegel_point,
     validate_period_matrix,
 )
 from specialperiods.siegel import charge_box, ellipsoid_points
+
+from oracles import (
+    ModularMatrix,
+    modular_transform_charge,
+    modular_transform_tau,
+    random_modular_matrix,
+)
 
 
 def test_genus_one_identity_imag():

@@ -15,16 +15,16 @@ from specialperiods import (
     cm_relation_check,
     cm_wedge_residual,
     cm_witness_from_record,
-    consistency_ratios,
     cover_data,
     cover_degree,
     cover_monodromy,
     random_siegel_point,
     search_solutions,
     solution_record,
-    solve_c,
     validate_period_matrix,
 )
+
+from oracles import consistency_ratios, solve_c
 
 PI = np.pi
 WORKED_CBAR = (4 + 6j) / 13

@@ -1,6 +1,7 @@
 """The charge box is streamed in fixed-size blocks; outputs do not depend on them."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -402,6 +403,18 @@ def test_search_equals_the_box_scan(case):
         except LatticeDefect:
             continue
         assert abs(raw - record.degree) <= 1e-8 * record.degree
+
+
+def test_plane_interval_ends_past_int64():
+    # the dependent coordinates' interval ends reach about 1e19, past int64;
+    # they are clipped to the box before the cast, which then cannot warn
+    omega = validate_period_matrix([[1e19 + 1j, 0], [0, 1j]])
+    base = LatticeCharge((0, 0), (1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = search_solutions(omega, base, 2, 1e-9)
+    assert len(records) == 4
+    assert repr(records) == repr(_box_scan(omega, base, 2, 1e-9))
 
 
 @pytest.mark.parametrize("h,seed", [(2, 2), (3, 7)])

@@ -7,18 +7,21 @@ from specialperiods import (
     CyclePair,
     DomainError,
     LatticeCharge,
-    ModularMatrix,
     PeriodMatrix,
-    dedekind_eta,
     fd_eigen_residual,
+    sample_eigenfunction,
+    spectrum_table,
+    torus_eigenvalue,
+)
+
+from oracles import (
+    ModularMatrix,
+    dedekind_eta,
     grid_inner_product,
     modular_transform_tau,
     mu_covariance_residual,
     random_modular_matrix,
     real_product,
-    sample_eigenfunction,
-    spectrum_table,
-    torus_eigenvalue,
     wraparound_residual,
 )
 
