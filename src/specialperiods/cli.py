@@ -67,7 +67,7 @@ def _cmd_validate(args, omega, out) -> int:
 def _cmd_torus(args, omega, out) -> int:
     try:
         table = torus.spectrum_table(args.tau, args.max)
-    except ValueError as exc:  # a --max box too large for numpy
+    except (ValueError, MemoryError) as exc:  # a --max box too large for numpy, or for memory
         raise ParseError(str(exc)) from exc
     _row(out, "# n m re_c im_c lambda mu")
     for entry in table:
@@ -78,7 +78,7 @@ def _cmd_torus(args, omega, out) -> int:
 def _cmd_torus_fd(args, omega, out) -> int:
     try:
         table = torus.spectrum_table(args.tau, args.max)
-    except ValueError as exc:  # a --max box too large for numpy
+    except (ValueError, MemoryError) as exc:  # a --max box too large for numpy, or for memory
         raise ParseError(str(exc)) from exc
     _row(out, "# n m lambda resid_N resid_2N ratio")
     for entry in table:

@@ -8,18 +8,14 @@ homology classes p.alpha + q.beta.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AsymmetryError, DomainError, NotPositiveDefinite
 
-DEFAULT_SYMMETRY_TOL = 1e-10
+_SYMMETRY_TOL = 1e-10
 _INVERSE_TOL = 1e-12
-# Rows per block of the streamed charge box: scan memory is bounded by this,
-# whatever the bound.
-BLOCK_ROWS = 1 << 14
 
 
 def _int_tuple(values) -> tuple:
@@ -74,7 +70,7 @@ class PeriodMatrix:
         return "PeriodMatrix(genus=%d)" % self.genus
 
 
-def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatrix:
+def validate_period_matrix(raw) -> PeriodMatrix:
     """Symmetrize and validate a raw complex matrix.
 
     The stored matrix is the exact symmetrization (raw + raw.T) / 2, so that
@@ -87,12 +83,10 @@ def validate_period_matrix(raw, tol: float = DEFAULT_SYMMETRY_TOL) -> PeriodMatr
         raise ValueError("expected a square matrix, got shape %r" % (raw.shape,))
     if not np.all(np.isfinite(raw)):
         raise DomainError("matrix has a non-finite (NaN or infinite) entry")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     asym = np.max(np.abs(raw - raw.T))
-    if asym > tol:
+    if asym > _SYMMETRY_TOL:
         raise AsymmetryError(
-            "matrix is asymmetric: max |A - A^T| = %.3e > %.3e" % (asym, tol)
+            "matrix is asymmetric: max |A - A^T| = %.3e > %.3e" % (asym, _SYMMETRY_TOL)
         )
     with np.errstate(over="ignore", invalid="ignore"):
         sym = (raw + raw.T) / 2
@@ -120,28 +114,6 @@ def charge_box(dim: int, bound: int) -> np.ndarray:
     """
     width = 2 * bound + 1
     return np.indices((width,) * dim, dtype=np.int64).reshape(dim, width**dim).T - bound
-
-
-def box_blocks(dim: int, bound: int):
-    """The box [-bound, bound]^dim as blocks of at most BLOCK_ROWS rows.
-
-    Yields the blocks in lexicographic order.  Each block fixes the leading
-    ``dim - k`` coordinates and runs over ``charge_box(k, bound)`` in the
-    rest, with k the largest value such that ``(2 bound + 1)^k <=
-    BLOCK_ROWS``, and at least 1; the blocks concatenate to
-    ``charge_box(dim, bound)``, so the zero row is the middle row of the
-    middle block.  Callers drop it with the mask ``rows.any(axis=1)``.
-    """
-    width = 2 * bound + 1
-    k = 1
-    while k < dim and width ** (k + 1) <= BLOCK_ROWS:
-        k += 1
-    tail = charge_box(k, bound)
-    for prefix in itertools.product(range(-bound, bound + 1), repeat=dim - k):
-        rows = np.empty((len(tail), dim), dtype=np.int64)
-        rows[:, : dim - k] = prefix
-        rows[:, dim - k :] = tail
-        yield rows
 
 
 def ellipsoid_points(gram, centres, radii, bound: int):

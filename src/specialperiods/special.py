@@ -33,7 +33,7 @@ from .errors import (
     NotIntegralDegree,
 )
 from .pairings import _unit_cycles, area, integer_defect
-from .siegel import CyclePair, LatticeCharge, PeriodMatrix, box_blocks
+from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
 COLLINEAR_RATIONAL = "collinear-rational"
 SPECIAL_COMPLEX = "special-complex"
@@ -41,6 +41,8 @@ DEGENERATE = "degenerate"
 
 _BASE_EPS = 1e-14
 _MONODROMY_TOL = 1e-9
+# Free pairs per chunk of the plane search: its memory is bounded by this, whatever the bound.
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,15 +139,17 @@ def _normalize(cbar: complex, tol: float):
 def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
     sign, c, classification = _normalize(cbar, tol)
     base_area = area(omega, base)
+    probe_area = area(omega, probe)
     try:
         c_squared = abs(c) ** 2
-    except OverflowError:  # |c| past about 1.3e154: the check below reports lambda_c
-        c_squared = math.inf
-    lambda_c = 2.0 * base_area * c_squared
-    probe_area = area(omega, probe)
-    # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
-    # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
-    lambda_dual = 2.0 * probe_area / c_squared if c_squared else np.inf
+    except OverflowError:  # |c| past about 1.3e154: one factor |c| at a time
+        lambda_c = 2.0 * base_area * abs(c) * abs(c)
+        lambda_dual = 2.0 * probe_area / abs(c) / abs(c)
+    else:
+        lambda_c = 2.0 * base_area * c_squared
+        # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
+        # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
+        lambda_dual = 2.0 * probe_area / c_squared if c_squared else np.inf
     if not (
         cmath.isfinite(c)
         and math.isfinite(lambda_c)
@@ -181,8 +185,20 @@ def solution_record(
         return _record(omega, base, probe, cbar, tol)
 
 
-def _plane_rows(omega, v, bound: int, tol: float):
-    """Sorted rows of the box that include every row the kernel accepts, or None.
+def _free_pairs(bound: int):
+    """The box [-bound, bound]^2 in lexicographic order, in chunks of at most _CHUNK_ROWS rows.
+
+    Row i of the box is divmod(i, 2 bound + 1) - bound.
+    """
+    width = 2 * bound + 1
+    for start in range(0, width * width, _CHUNK_ROWS):
+        high, low = np.divmod(np.arange(start, min(start + _CHUNK_ROWS, width * width)), width)
+        yield np.column_stack([high, low]) - bound
+
+
+@np.errstate(over="ignore")  # every overflow is caught by a finiteness test below
+def _plane_rows(omega, v, bound: int, tol: float) -> np.ndarray:
+    """Sorted rows of the box that include every row the kernel accepts.
 
     The kernel accepts a row x when every component of its defect
     D(x) = image(x) - (image_a(x) / v_a) v, with a = argmax |v|, is at most tol max|v|.
@@ -191,13 +207,16 @@ def _plane_rows(omega, v, bound: int, tol: float):
     complement K_d (columns scaled alike) has the largest smallest singular value; each
     free pair leaves every dependent coordinate of an accepted row in a short interval.
     At genus one K is empty, so the free pair is the whole charge and every row is listed.
-    None if a magnitude in the bound below is not finite.
+    Raises DomainError if a magnitude in the bound below is not finite, which needs
+    entries near the float range and never happens at genus one.
     """
     h = omega.genus
     anchor = int(np.argmax(np.abs(v)))
     # images of the unit charges: the rows of -Omega for n, of the identity for m
     units = np.concatenate([-omega.entries, np.eye(h)])
     lin = np.delete(units - (units[:, anchor] / v[anchor])[:, None] * v[None, :], anchor, axis=1)
+    if not np.isfinite(lin).all():
+        raise DomainError("the plane of solutions overflows: an entry of Omega is too large")
     # Rounding.  With mag = sum_i max_j |image_j(e_i)| and |x_i| <= bound, every image,
     # cbar v_j and defect is at most 2 bound mag in modulus and a sum of at most 2h + 2
     # rounded terms, so (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and
@@ -209,15 +228,13 @@ def _plane_rows(omega, v, bound: int, tol: float):
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     mag = float(np.abs(units).max(axis=1).sum())
     limit = (tol * np.max(np.abs(v)) + 64 * h * eps * (bound * mag + tiny)) * (1 + 4 * eps)
-    if not (np.isfinite(lin).all() and np.isfinite([limit, 4 * bound * mag]).all()):
-        return None
     k = np.concatenate([lin.real.T, lin.imag.T])  # 0 x 2 at genus one, hence the initial= below
     scaled = k / np.maximum(np.abs(k).max(axis=0, initial=0), tiny)  # n and m columns differ in scale by |Omega|
-    pairs = itertools.combinations(range(2 * h), 2)
-    free = list(
-        max(pairs, key=lambda f: np.linalg.svd(np.delete(scaled, f, axis=1), compute_uv=False).min(initial=np.inf))
-    )
-    dep = [i for i in range(2 * h) if i not in free]
+    pairs = list(itertools.combinations(range(2 * h), 2))
+    deps = np.array([np.delete(np.arange(2 * h), f) for f in pairs])
+    smallest = np.linalg.svd(scaled[:, deps].transpose(1, 0, 2), compute_uv=False).min(axis=1, initial=np.inf)
+    best = int(np.argmax(smallest))
+    free, dep = list(pairs[best]), list(deps[best])
     # For any Z, x_d = Z (K x - K_f x_f) + (I - Z K_d) x_d.  With W = fl(Z K_f) and
     # P = fl(Z K_d), dot products of 2h - 2 terms, x_d lies within |Z| 1 limit +
     # bound (|I - P| 1 + h eps |Z| |K| 1) of -W x_f, which two products and a sum give
@@ -229,10 +246,11 @@ def _plane_rows(omega, v, bound: int, tol: float):
     reach = bound * np.abs(w).sum(axis=1)
     slack = np.abs(np.eye(2 * h - 2) - z @ k[:, dep]).sum(axis=1) + h * eps * (np.abs(z) @ np.abs(k).sum(axis=1))
     radius = (np.abs(z).sum(axis=1) * limit + bound * (slack + tiny) + 2 * eps * reach) * (1 + 8 * h * eps)
-    if not np.isfinite(radius + 2 * reach).all():
-        return None
+    # empty at genus one, where no margin is used
+    if not np.isfinite(np.maximum(radius + 2 * reach, 4 * bound * mag)).all():
+        raise DomainError("Omega's entries are too large to bound the search's rounding at bound %d" % bound)
     found = []
-    for rows in box_blocks(2, bound):
+    for rows in _free_pairs(bound):
         centre = -(rows[:, :1] * w[:, 0] + rows[:, 1:] * w[:, 1])
         # clipped to +-(bound + 1), exact floats, so that ends far outside the box fit int64
         lo = np.ceil(np.clip(np.nextafter(centre - radius, -np.inf), -bound, bound + 1)).astype(np.int64)
@@ -251,12 +269,12 @@ def _plane_rows(omega, v, bound: int, tol: float):
 def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> list:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
-    The kernel scans the rows of ``_plane_rows`` in one call, at every genus.
-    Only where that is None, on entries near the float range, does it scan the
-    box, in blocks of at most ``siegel.BLOCK_ROWS`` rows.  Either way it decides
-    every record, and memory follows the candidates, not the box.  Records are
-    sorted lexicographically by (n', m').  A bound past 2^52 raises ValueError:
-    the plane's interval ends are floats, which hold every integer only up to 2^53.
+    The kernel scans the rows of ``_plane_rows`` in one call, at every genus, and
+    decides every record; memory follows the candidates, not the box.  Records are
+    sorted lexicographically by (n', m').  Where the plane cannot bound its
+    rounding, on entries near the float range, it raises DomainError.  A bound past
+    2^52 raises ValueError: the plane's interval ends are floats, which hold every
+    integer only up to 2^53.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -264,10 +282,8 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
         raise ValueError("bound must be at most 2**52, got %d" % bound)
     v = base_image(omega, base)
     h = omega.genus
-    blocks = [_plane_rows(omega, v, bound, tol)]
-    if blocks[0] is None:
-        blocks = box_blocks(2 * h, bound)
-    accepted = [pair for rows in blocks for pair in _accepted(omega, v, rows[rows.any(axis=1)], tol)]
+    rows = _plane_rows(omega, v, bound, tol)
+    accepted = _accepted(omega, v, rows[rows.any(axis=1)], tol)
     with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
         return [_record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol) for flat, cbar in accepted]
 

@@ -20,8 +20,8 @@ from specialperiods import (
     fd_eigen_residual,
     random_siegel_point,
     search_solutions,
-    siegel,
     solution_record,
+    special,
     torus_eigenvalue,
 )
 from specialperiods.report import positivity_sweep, run_identity_suite
@@ -208,12 +208,12 @@ def test_c07_genericity_control():
 def test_c08_search_determinism(fixture_matrix_path, monkeypatch):
     argv = ["search", str(fixture_matrix_path), "--base", "1,1;1,2", "--bound", "2"]
     outputs = [run_cli(argv), run_cli(argv)]
-    for block_rows in (1, 121, 16384):
-        monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
+    for chunk in (1, 121, 16384):
+        monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
         outputs.append(run_cli(argv))
     ok = all(code == 0 for code, _ in outputs)
     ok = ok and len({out for _, out in outputs}) == 1
-    detail = "byte-identical output for two repeated runs and BLOCK_ROWS 1, 121, 16384"
+    detail = "byte-identical output for two repeated runs and free-pair chunks of 1, 121, 16384"
     _verdict(8, "search-determinism", ok, detail)
 
 

@@ -373,6 +373,20 @@ def test_cli_degenerate_records(fixture_matrix_path):
     assert "degenerate" in out
 
 
+@pytest.mark.parametrize("subcommand", ["torus", "torus-fd"])
+def test_cli_torus_max_past_memory_exits_2(subcommand):
+    # a (2 max + 1)^2 charge box that numpy accepts but cannot allocate under a 1 GiB address space
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))"
+    run = "import sys; from specialperiods import cli; sys.exit(cli.main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", "%s; %s" % (limit, run), subcommand, "--tau", "0+1i", "--max", "100000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
 def test_cli_rejects_non_finite_tau(capsys):
     code, out = run_cli(["torus", "--tau", "0+1e999i", "--max", "1"])
     assert code == 1
@@ -392,7 +406,8 @@ def test_cli_rejects_non_finite_tau(capsys):
 )
 # lambda_c overflows at 0+8e307i; at 0+1e200i only the product A A' (about 1e402)
 # does, and lambda_dual = 2 A' / |c|^2 stays finite, so that record is printed.
-# Over the base 0;1, |c| is Im tau, and |c|^2 overflows at both
+# Over the base 0;1, |c| is Im tau, and |c|^2 overflows at both, but at 0+1e200i
+# lambda_c = (2 A |c|) |c| and lambda_dual = (2 A' / |c|) / |c| do not
 @pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i"])
 def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     # the matrix validates, but the record's areas may overflow
@@ -400,12 +415,14 @@ def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     path.write_text("genus 1\n%s\n" % tau)
     assert run_cli(["validate", str(path)])[0] == 0
     code, out = run_cli([argv[0], str(path), *argv[1:]])
-    if tau == "0+1e200i" and argv[2] == "1;0":
+    if tau == "0+1e200i":
         assert code == 0
         line = {
-            "search": "1 0 1 0 9.86960440108936e+200 - collinear-rational",
-            "cm-check": "lambda_dual 9.86960440108936e+200",
-        }[argv[0]]
+            ("search", "1;0"): "1 0 1 0 9.86960440108936e+200 - collinear-rational",
+            ("cm-check", "1;0"): "lambda_dual 9.86960440108936e+200",
+            ("search", "0;1"): "1 0 -0 -1e+200 9.86960440108936e+200 1 special-complex",
+            ("cm-check", "0;1"): "lambda_c 9.86960440108936e+200",
+        }[argv[0], argv[2]]
         assert line in out.splitlines()
         return
     assert code == 1

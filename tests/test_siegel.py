@@ -39,11 +39,11 @@ def test_indefinite_imag_rejected():
 
 
 def test_asymmetry_detected_and_symmetrized():
-    raw = np.array([[1j, 0.1 + 0.5j], [0.2 + 0.5j, 2j]])
     with pytest.raises(AsymmetryError):
-        validate_period_matrix(raw, tol=1e-10)
-    omega = validate_period_matrix(raw, tol=0.2)
+        validate_period_matrix([[1j, 0.1 + 0.5j], [0.2 + 0.5j, 2j]])
+    omega = validate_period_matrix([[1j, 0.1 + 0.5j], [0.1 + 1e-12 + 0.5j, 2j]])
     assert np.array_equal(omega.entries, omega.entries.T)
+    assert omega.entries[0, 1] == (0.1 + 0.5j + 0.1 + 1e-12 + 0.5j) / 2
 
 
 def test_imag_inverse_quality():

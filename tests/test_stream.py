@@ -1,4 +1,4 @@
-"""The charge box is streamed in fixed-size blocks; outputs do not depend on them."""
+"""The search streams its free pairs in fixed-size chunks; outputs do not depend on them."""
 
 import tracemalloc
 import warnings
@@ -17,35 +17,44 @@ from specialperiods import (
     gamma_members,
     random_siegel_point,
     search_solutions,
-    siegel,
     special,
 )
-from specialperiods.errors import LatticeDefect, SpecialPeriodsError
+from specialperiods.errors import DomainError, LatticeDefect, SpecialPeriodsError
 from specialperiods.matrixio import write_period_matrix
 from specialperiods.pairings import real_products
 from specialperiods.report import positivity_sweep
-from specialperiods.siegel import box_blocks, charge_box, validate_period_matrix
+from specialperiods.siegel import charge_box, validate_period_matrix
 from test_record_path import _unit_base
 
-BLOCK_SIZES = (1, 7, 121, siegel.BLOCK_ROWS)
+CHUNK_SIZES = (1, 7, 121, special._CHUNK_ROWS)
+# rows per chunk of the oracles' own box stream
+BOX_CHUNK = 1 << 14
 
 
-def _streamed(dim, bound):
-    return list(box_blocks(dim, bound))
+def _box_chunks(dim, bound, rows=BOX_CHUNK):
+    """The box [-bound, bound]^dim in lexicographic order, in chunks of ``rows`` rows.
+
+    The oracles below scan the whole box through this stream; the search never does.
+    """
+    width = 2 * bound + 1
+    for start in range(0, width**dim, rows):
+        flat = np.arange(start, min(start + rows, width**dim))
+        yield np.stack(np.unravel_index(flat, (width,) * dim), axis=1) - bound
 
 
-def _full_box_sweep(omega, bound):
-    """The positivity sweep over the whole box at once, as the reference.
+def _full_box_sweep(omega, bound, rows=BOX_CHUNK):
+    """The positivity sweep over the whole box, as the reference.
 
     It evaluates ``real_products``, whose rounding is the sweep's: an einsum of
     the same form sums in another order and can differ in the last bit.
     """
     h = omega.genus
-    flat = charge_box(2 * h, bound)
-    n_part = flat[:, :h].astype(float)
-    m_part = flat[:, h:].astype(float)
-    values = real_products(omega, n_part, m_part, n_part, m_part)
-    zero = len(flat) // 2
+    values = []
+    for chunk in _box_chunks(2 * h, bound, rows):
+        n_part, m_part = chunk[:, :h].astype(float), chunk[:, h:].astype(float)
+        values.append(real_products(omega, n_part, m_part, n_part, m_part))
+    values = np.concatenate(values)
+    zero = len(values) // 2
     return float(np.delete(values, zero).min()), float(values[zero])
 
 
@@ -58,40 +67,43 @@ def test_charge_box_shapes():
     assert np.count_nonzero(~box.any(axis=1)) == 1
 
 
-@pytest.mark.parametrize("block_rows", BLOCK_SIZES + (2, 25, 26))
+@pytest.mark.parametrize("chunk", CHUNK_SIZES + (2, 25, 26))
 @pytest.mark.parametrize("dim,bound", [(1, 1), (2, 3), (4, 2), (6, 1), (3, 5)])
-def test_blocks_concatenate_to_the_box(monkeypatch, block_rows, dim, bound):
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
-    blocks = _streamed(dim, bound)
-    width = 2 * bound + 1
-    tail_rows = len(blocks[0])
-    assert tail_rows <= max(block_rows, width)
-    assert tail_rows * width > block_rows or tail_rows == width**dim
-    np.testing.assert_array_equal(np.concatenate(blocks), charge_box(dim, bound))
-    zeros = [(i, int(j)) for i, rows in enumerate(blocks) for j in np.flatnonzero(~rows.any(axis=1))]
-    assert zeros == [(len(blocks) // 2, tail_rows // 2)]
+def test_blocks_concatenate_to_the_box(monkeypatch, chunk, dim, bound):
+    # the search's free pairs, and the oracles' box of any dimension, in full chunks but the last
+    monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
+    streams = [(special._free_pairs(bound), charge_box(2, bound)), (_box_chunks(dim, bound, chunk), charge_box(dim, bound))]
+    for chunks, box in streams:
+        chunks = list(chunks)
+        assert [len(rows) for rows in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= chunk
+        np.testing.assert_array_equal(np.concatenate(chunks), box)
+
+
+def test_free_pairs_at_the_largest_bound():
+    # a chunk holds _CHUNK_ROWS free pairs at any bound, not a row of 2 bound + 1 pairs
+    bound = 2**52
+    first = next(special._free_pairs(bound))
+    expected = np.column_stack([np.full(special._CHUNK_ROWS, -bound), np.arange(special._CHUNK_ROWS) - bound])
+    np.testing.assert_array_equal(first, expected)
 
 
 def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_case):
-    # genus 1 at bound 3: 49 rows fit in one block, whose prefix is empty
+    # genus 1 at bound 3: the 49 free pairs fit in one chunk
     omega, base = random_siegel_point(1, 0), LatticeCharge((1,), (0,))
-    [rows] = _streamed(2, 3)
+    [rows] = special._free_pairs(3)
     np.testing.assert_array_equal(rows, charge_box(2, 3))
-    assert np.flatnonzero(~rows.any(axis=1)).tolist() == [49 // 2]
     # genus one has no dependent coordinate, so every box row is a candidate
     plane = special._plane_rows(omega, special.base_image(omega, base), 3, 1e-9)
     np.testing.assert_array_equal(plane, charge_box(2, 3))
     assert len(search_solutions(omega, base, 3, 1e-9)) == 49 - 1
-    # genus 2 at bound 2 in blocks of 5 rows: only the middle block holds zero
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", 5)
+    # genus 2 at bound 2 in chunks of 5 free pairs: only the middle chunk holds zero
+    monkeypatch.setattr(special, "_CHUNK_ROWS", 5)
     _, omega, base = worked_case
     assert len(search_solutions(omega, base, 2, 1e-9)) == 14
-    blocks = _streamed(4, 2)
-    with_zero = [rows for rows in blocks if not rows.any(axis=1).all()]
-    assert len(blocks) == 125 and len(with_zero) == 1
-    rows = with_zero[0]
-    assert len(rows[rows.any(axis=1)]) == len(rows) - 1
-    assert not rows[len(rows) // 2].any()
+    chunks = list(special._free_pairs(2))
+    assert len(chunks) == 5
+    assert [i for i, rows in enumerate(chunks) if not rows.any(axis=1).all()] == [2]
 
 
 CASES = [("worked", 2, 1e-9)] + [
@@ -115,10 +127,6 @@ def test_records_and_tables_independent_of_blocks(
     monkeypatch, tmp_path, worked_case, name, bound, tol
 ):
     omega, base = _case(name, worked_case)
-    if omega.genus == 3 and bound > 2:
-        block_sizes = (121, siegel.BLOCK_ROWS)  # tens of thousands of 7- or 9-row blocks are slow
-    else:
-        block_sizes = BLOCK_SIZES
     path = tmp_path / "omega.mat"
     write_period_matrix(path, omega)
     argv = ["search", str(path), "--base=%s;%s" % (",".join(map(str, base.n)), ",".join(map(str, base.m)))]
@@ -126,8 +134,8 @@ def test_records_and_tables_independent_of_blocks(
     reference = repr(search_solutions(omega, base, bound, tol))
     code, table = run_cli(argv)
     assert code == 0 and len(table.splitlines()) > 1
-    for block_rows in block_sizes:
-        monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
         assert repr(search_solutions(omega, base, bound, tol)) == reference
         assert run_cli(argv) == (0, table)
 
@@ -138,14 +146,13 @@ def test_loose_tolerance_case_has_special_records(worked_case):
     assert {r.classification for r in records} >= {"collinear-rational", "special-complex"}
 
 
-@pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("h,bound", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
-def test_positivity_sweep_matches_the_full_box(monkeypatch, block_rows, h, bound):
-    # the sweep enumerates an ellipsoid, so the streamed box's block size is not read
+def test_positivity_sweep_matches_the_full_box(chunk, h, bound):
+    # the sweep enumerates an ellipsoid and reads no chunk size; the reference is
+    # evaluated in chunks of every size, so it does not depend on them either
     omega = random_siegel_point(h, 20 + bound)
-    reference = _full_box_sweep(omega, bound)
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
-    assert positivity_sweep(omega, bound) == reference
+    assert positivity_sweep(omega, bound) == _full_box_sweep(omega, bound, chunk)
 
 
 def _conditioned_matrix(h, seed, log_cond, log_scale):
@@ -243,24 +250,24 @@ def _search_peak_bytes(omega, base, bound):
 
 
 def test_search_memory_does_not_grow_with_the_bound():
-    # bound 200 is a box of 2.6e10 rows; its 401^2 free pairs are streamed in blocks
+    # bound 200 is a box of 2.6e10 rows; its 401^2 free pairs are streamed in chunks
     omega = random_siegel_point(2, 3)
     base = _unit_base(2, 3)
     for bound in (5, 12, 200):
         assert _search_peak_bytes(omega, base, bound) < 8 * 2**20
 
 
-def _nonzero_blocks(dim, bound):
-    """The rows of every block of the box, without the zero row."""
-    for rows in box_blocks(dim, bound):
-        yield rows[rows.any(axis=1)]
+def _nonzero_chunks(dim, bound, rows=BOX_CHUNK):
+    """The rows of every chunk of the box, without the zero row."""
+    for chunk in _box_chunks(dim, bound, rows):
+        yield chunk[chunk.any(axis=1)]
 
 
-def _box_scan(omega, base, bound, tol):
-    """The search over the whole box, as the oracle: every block goes through the kernel."""
+def _box_scan(omega, base, bound, tol, chunk=BOX_CHUNK):
+    """The search over the whole box, as the oracle: every chunk goes through the kernel."""
     v, h = special.base_image(omega, base), omega.genus
     records = []
-    for rows in _nonzero_blocks(2 * h, bound):
+    for rows in _nonzero_chunks(2 * h, bound, chunk):
         for flat, cbar in special._accepted(omega, v, rows, tol):
             records.append(special._record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol))
     return records
@@ -307,22 +314,23 @@ SCREEN_CASES = (
 )
 
 
-@pytest.mark.parametrize("name,bound,tol,block_rows", SCREEN_CASES)
-def test_screened_search_equals_the_unscreened_one(monkeypatch, worked_case, name, bound, tol, block_rows):
-    if block_rows is not None:
-        monkeypatch.setattr(siegel, "BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("name,bound,tol,chunk", SCREEN_CASES)
+def test_screened_search_equals_the_unscreened_one(monkeypatch, worked_case, name, bound, tol, chunk):
+    # a chunk size, where given, applies to the search's free pairs and to the oracle's box
+    if chunk is not None:
+        monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
     omega, base = _screen_case(name, worked_case)
     records = search_solutions(omega, base, bound, tol)
-    assert repr(records) == repr(_box_scan(omega, base, bound, tol))
+    assert repr(records) == repr(_box_scan(omega, base, bound, tol, chunk or BOX_CHUNK))
     assert records
 
 
-def _block_residuals(omega, base, bound):
-    """(row, kernel residual) of every nonzero box row, each computed within its own block."""
+def _block_residuals(omega, base, bound, chunk=BOX_CHUNK):
+    """(row, kernel residual) of every nonzero box row, each computed within its own chunk."""
     v = special.base_image(omega, base)
     return [
         (tuple(row), r)
-        for rows in _nonzero_blocks(2 * omega.genus, bound)
+        for rows in _nonzero_chunks(2 * omega.genus, bound, chunk)
         for row, r in zip(rows.tolist(), special._scan_rows(omega, v, rows)[1])
     ]
 
@@ -331,10 +339,10 @@ def _block_residuals(omega, base, bound):
 def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound):
     # tol equal to a row's own kernel residual: the kernel accepts that row, so
     # the plane must yield it although the plane's bound rounds differently
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", 125)
+    monkeypatch.setattr(special, "_CHUNK_ROWS", 125)
     omega, base = _screen_case(name, worked_case)
     v = special.base_image(omega, base)
-    pairs = _block_residuals(omega, base, bound)
+    pairs = _block_residuals(omega, base, bound, 125)
     residuals = np.array([r for _, r in pairs])
     accepted = np.unique(residuals[residuals <= 1e-9])
     rejected = np.unique(residuals[residuals > 1e-9])
@@ -342,7 +350,7 @@ def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound)
         candidates = set(map(tuple, special._plane_rows(omega, v, bound, tol).tolist()))
         assert {row for row, r in pairs if r <= tol} <= candidates
         records = search_solutions(omega, base, bound, tol)
-        assert repr(records) == repr(_box_scan(omega, base, bound, tol))
+        assert repr(records) == repr(_box_scan(omega, base, bound, tol, 125))
         assert len(records) == np.count_nonzero(residuals <= tol)
 
 
@@ -362,15 +370,18 @@ def test_false_positives_keep_the_table(worked_case):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e300, 1e307])
-def test_screen_on_huge_entries(monkeypatch, scale):
-    # the plane is enumerated while 4 bound mag is finite, and the box scanned beyond
-    monkeypatch.setattr(siegel, "BLOCK_ROWS", 125)
+def test_screen_on_huge_entries(scale):
+    # the plane is enumerated while 4 bound mag is finite; beyond, the search refuses
     omega = validate_period_matrix(random_siegel_point(3, 0).entries * scale)
     base = LatticeCharge((1, -1, -1), (0, -1, 0))
-    v = special.base_image(omega, base)
-    assert (special._plane_rows(omega, v, 2, 1e-9) is None) == (scale > 1e306)
     outcome = _outcome(search_solutions, omega, base, 2, 1e-9)
-    assert outcome == _outcome(_box_scan, omega, base, 2, 1e-9)
+    oracle = _outcome(_box_scan, omega, base, 2, 1e-9)
+    if scale > 1e306:
+        assert outcome.startswith("DomainError: Omega's entries are too large to bound")
+        # the box scan's records there overflow as well
+        assert oracle.startswith("DomainError: the record of probe")
+    else:
+        assert outcome == oracle
     # only a lambda_c past the float range is an error: lambda_dual = 2 A' / |c|^2 stays finite
     assert outcome.startswith("DomainError") == (scale > 1e305)
 
@@ -423,5 +434,21 @@ def test_plane_with_columns_of_unlike_scale(h, seed):
     # columns the largest smallest singular value picked a singular K_d here
     omega = validate_period_matrix(random_siegel_point(h, seed).entries * 1e100)
     base = _unit_base(h, seed)
-    assert special._plane_rows(omega, special.base_image(omega, base), 2, 1e-9) is not None
+    special._plane_rows(omega, special.base_image(omega, base), 2, 1e-9)  # no DomainError
     assert _outcome(search_solutions, omega, base, 2, 1e-9) == _outcome(_box_scan, omega, base, 2, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "entries,base",
+    [
+        ([[1e200j, 0], [0, 1j]], LatticeCharge((1, 1), (1, 1))),
+        ([[1e300 + 1j, 1e300], [1e300, 1e300 + 1j]], LatticeCharge((1, -1), (0, 0))),
+    ],
+)
+def test_search_refuses_without_a_warning(entries, base):
+    # the plane cannot bound its rounding here: a DomainError, and no overflow warning before it
+    omega = validate_period_matrix(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="too large to bound"):
+            search_solutions(omega, base, 2, 1e-9)
