@@ -9,14 +9,14 @@ tests, in ``tests/oracles.py``.
 
 Each formula is written once, over arrays of integer vectors (or coefficient
 rows) whose last axis has length h and whose leading axes broadcast, giving
-one value or row per broadcast index; ``herm_product`` calls one per charge.
+one value or row per broadcast index; ``herm_product`` and ``area`` call one
+per charge, so a batch and a lone charge share one formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .differentials import lattice_image
 from .errors import DegenerateCharge
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
@@ -80,13 +80,19 @@ def wedge_integrals(omega: PeriodMatrix, ca, cb):
     return np.sum(ca * np.conj(beta_b) - np.conj(cb) * beta_a, axis=-1)
 
 
+def areas(omega: PeriodMatrix, n, m):
+    """``area`` over arrays of nonzero charges (n, m)."""
+    # stacked matrix products round each charge as a lone one: n @ Omega.T or a sum over the last axis do not
+    v = m - (omega.entries @ n[..., None])[..., 0]
+    form = (v[..., None, :] @ omega.imag_inverse @ np.conj(v)[..., None])[..., 0, 0]
+    return np.pi * np.pi / 2 * np.real(form)
+
+
 def area(omega: PeriodMatrix, nm: LatticeCharge) -> float:
     """Total area of the flat metric defined by the charge's differential."""
     if nm.is_zero:
         raise DegenerateCharge("the zero charge has no metric")
-    v = lattice_image(omega, nm)
-    value = np.pi * np.pi / 2 * np.real(v @ omega.imag_inverse @ np.conj(v))
-    return float(value)
+    return float(areas(omega, nm.n_vec, nm.m_vec))
 
 
 def duality_vectors(omega: PeriodMatrix, n, m):

@@ -19,7 +19,7 @@ import numpy as np
 from . import differentials
 from .differentials import coeff_rows, periods
 from .pairings import (
-    bilinear, duality_vectors, herm_products, integer_pairings, real_products, wedge_integrals
+    areas, bilinear, duality_vectors, herm_products, integer_pairings, real_products, wedge_integrals
 )
 from .errors import DomainError
 from .siegel import PeriodMatrix, ellipsoid_points
@@ -33,13 +33,6 @@ def draw_trials(rng, trials: int, h: int, bound: int) -> tuple:
     """
     data = rng.integers(-bound, bound + 1, size=(trials, 4, h))
     return tuple(data[:, k] for k in range(4))
-
-
-def _area(omega, n, m):
-    """Batched ``pairings.area`` of nonzero charges."""
-    # not shared: this form rounds unlike ``pairings.area``, whose bits the printed lambda_c pins
-    v = m - n @ omega.entries.T
-    return np.pi * np.pi / 2 * np.real(bilinear(v, omega.imag_inverse, np.conj(v)))
 
 
 def _factorized_herm(omega, n, m, q, p):
@@ -127,7 +120,7 @@ def run_identity_suite(
     nonzero = np.any(n != 0, axis=1) | np.any(m != 0, axis=1)
     if nonzero.any():
         n, m = n[nonzero], m[nonzero]
-        area = _area(omega, n, m)
+        area = areas(omega, n, m)
         exponent = herm_products(omega, n, m, n, -m)
         target = -2.0 / pi * area
         residuals["winding-area-exponent"] = np.maximum(

@@ -12,7 +12,8 @@ in one thread, so a run's records are reproducible.
 Every record takes one path, whether it comes from the box search or from a
 single probe (``solution_record``): the acceptance kernel
 ``_scan_rows``, the sign and classification rule ``_normalize``, and the
-record builder ``_record``.
+record builder ``_record``, which the search feeds the base area once and every
+probe's area from one batched pass that rounds as ``pairings.area`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     NotASolution,
     NotIntegralDegree,
 )
-from .pairings import _unit_cycles, area, integer_defect
+from .pairings import _unit_cycles, area, areas, integer_defect
 from .siegel import CyclePair, LatticeCharge, PeriodMatrix
 
 COLLINEAR_RATIONAL = "collinear-rational"
@@ -97,13 +98,6 @@ def _scan_rows(omega, v, rows: np.ndarray):
     return cbars, residuals
 
 
-def _accepted(omega, v, rows: np.ndarray, tol: float) -> list:
-    """(flat probe, cbar) of every row the kernel accepts."""
-    cbars, residuals = _scan_rows(omega, v, rows)
-    keep = np.nonzero(residuals <= tol)[0]
-    return [(tuple(int(x) for x in rows[i]), complex(cbars[i])) for i in keep]
-
-
 def _accept_probe(omega, base: LatticeCharge, probe: LatticeCharge, tol: float) -> complex:
     """Conjugate scale factor of one probe, which the kernel must accept."""
     if probe.is_zero:
@@ -136,10 +130,9 @@ def _normalize(cbar: complex, tol: float):
     return sign, c, SPECIAL_COMPLEX
 
 
-def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
+def _record(base, probe, cbar, tol, base_area: float, probe_area: float) -> SolutionRecord:
+    """The record of an accepted probe, from its conjugate scale factor and the two areas."""
     sign, c, classification = _normalize(cbar, tol)
-    base_area = area(omega, base)
-    probe_area = area(omega, probe)
     try:
         c_squared = abs(c) ** 2
     except OverflowError:  # |c| past about 1.3e154: one factor |c| at a time
@@ -159,18 +152,15 @@ def _record(omega, base, probe, cbar, tol) -> SolutionRecord:
             "the record of probe %s;%s is not finite (c %r, lambda_c %r, lambda_dual %r)"
             % (",".join(map(str, probe.n)), ",".join(map(str, probe.m)), c, lambda_c, lambda_dual)
         )
-    record = SolutionRecord(
+    return SolutionRecord(
         probe=probe,
         c=c,
         sign=sign,
         lambda_c=float(lambda_c),
         lambda_c_dual=float(lambda_dual),
-        degree=None,
+        degree=_degree(base, probe, sign) if classification == SPECIAL_COMPLEX else None,
         classification=classification,
     )
-    if classification == SPECIAL_COMPLEX:
-        record = replace(record, degree=cover_degree(omega, base, record))
-    return record
 
 
 def solution_record(
@@ -182,7 +172,7 @@ def solution_record(
     """Build the full record for one accepted probe, as the box search would."""
     cbar = _accept_probe(omega, base, probe, tol)
     with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
-        return _record(omega, base, probe, cbar, tol)
+        return _record(base, probe, cbar, tol, area(omega, base), area(omega, probe))
 
 
 def _free_pairs(bound: int):
@@ -283,9 +273,13 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     v = base_image(omega, base)
     h = omega.genus
     rows = _plane_rows(omega, v, bound, tol)
-    accepted = _accepted(omega, v, rows[rows.any(axis=1)], tol)
+    rows = rows[rows.any(axis=1)]
+    cbars, residuals = _scan_rows(omega, v, rows)
+    rows, cbars = rows[residuals <= tol], cbars[residuals <= tol]
     with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
-        return [_record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol) for flat, cbar in accepted]
+        base_area, probe_areas = area(omega, base), areas(omega, rows[:, :h], rows[:, h:])
+        accepted = zip(map(tuple, rows.tolist()), cbars.tolist(), probe_areas.tolist())
+        return [_record(base, LatticeCharge(x[:h], x[h:]), cbar, tol, base_area, a) for x, cbar, a in accepted]
 
 
 def _cover_probe(record: SolutionRecord) -> LatticeCharge:
@@ -335,8 +329,13 @@ def cover_degree(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecor
     u* Im(Omega) u = Im(conj c) (n.m' - n'.m), so the pairing is the area ratio
     ``cover_data(...).degree_raw``, read exactly from the integers.
     """
-    effective = _cover_probe(record)
-    degree = sum(n * m for n, m in zip(base.n, effective.m)) - sum(n * m for n, m in zip(effective.n, base.m))
+    _cover_probe(record)  # raises unless the record has a torus cover
+    return _degree(base, record.probe, record.sign)
+
+
+def _degree(base: LatticeCharge, probe: LatticeCharge, sign: int) -> int:
+    """``cover_degree`` of the effective probe sign * probe, summed over Python ints."""
+    degree = sign * (sum(n * m for n, m in zip(base.n, probe.m)) - sum(n * m for n, m in zip(probe.n, base.m)))
     if degree < 1:
         raise NotIntegralDegree("degree %d is not a positive integer" % degree)
     return degree

@@ -430,6 +430,10 @@ def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     assert "lambda" not in out and "special" not in out and "collinear" not in out
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
+    if argv[0] == "search":
+        # every probe's record overflows; the batched search still reports the first in order
+        c = {"1;0": "(-1+1.25e-308j)", "0;1": "(-1-8e+307j)"}[argv[2]]
+        assert err == "error: the record of probe -1;-1 is not finite (c %s, lambda_c inf, lambda_dual inf)\n" % c
 
 
 def _in_process(argv):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specialperiods import (
     CyclePair,
@@ -117,6 +119,29 @@ def test_area_examples():
     assert area(omega2, LatticeCharge((1, 1), (1, 2))) == pytest.approx(3.25 * PI**2)
     with pytest.raises(DegenerateCharge):
         area(PeriodMatrix.from_tau(1j), LatticeCharge((0,), (0,)))
+
+
+@st.composite
+def _charge_stacks(draw):
+    h = draw(st.integers(1, 6))
+    omega = random_siegel_point(h, draw(st.integers(0, 10**6)))
+    omega = validate_period_matrix(omega.entries * 10.0 ** draw(st.floats(-6, 8)))
+    bound = draw(st.sampled_from([1, 5, 1000, 10**6]))
+    flat = st.lists(st.integers(-bound, bound), min_size=2 * h, max_size=2 * h).filter(any)
+    rows = np.array(draw(st.lists(flat, min_size=1, max_size=40)))
+    return omega, rows[:, :h], rows[:, h:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_charge_stacks())
+def test_areas_round_as_area_per_charge(case):
+    # the search's lambda_c and solution_record's come from these two, so their bits must agree;
+    # the search and report pass int64 arrays, area the floats of one charge
+    omega, n, m = case
+    batched = pairings.areas(omega, n, m)
+    single = np.array([area(omega, LatticeCharge(tuple(a), tuple(b))) for a, b in zip(n, m)])
+    assert batched.shape == single.shape
+    np.testing.assert_array_equal(batched.view(np.uint64), single.view(np.uint64))
 
 
 def test_duality_canonical_matches_coefficients():

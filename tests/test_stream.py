@@ -21,7 +21,7 @@ from specialperiods import (
 )
 from specialperiods.errors import DomainError, LatticeDefect, SpecialPeriodsError
 from specialperiods.matrixio import write_period_matrix
-from specialperiods.pairings import real_products
+from specialperiods.pairings import area, real_products
 from specialperiods.report import positivity_sweep
 from specialperiods.siegel import charge_box, validate_period_matrix
 from test_record_path import _unit_base
@@ -268,8 +268,10 @@ def _box_scan(omega, base, bound, tol, chunk=BOX_CHUNK):
     v, h = special.base_image(omega, base), omega.genus
     records = []
     for rows in _nonzero_chunks(2 * h, bound, chunk):
-        for flat, cbar in special._accepted(omega, v, rows, tol):
-            records.append(special._record(omega, base, LatticeCharge(flat[:h], flat[h:]), cbar, tol))
+        cbars, residuals = special._scan_rows(omega, v, rows)
+        for flat, cbar in zip(rows[residuals <= tol].tolist(), cbars[residuals <= tol].tolist()):
+            probe = LatticeCharge(flat[:h], flat[h:])
+            records.append(special._record(base, probe, cbar, tol, area(omega, base), area(omega, probe)))
     return records
 
 
