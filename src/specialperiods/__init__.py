@@ -40,6 +40,7 @@ from .siegel import (
 from .special import (
     CoverData,
     SolutionRecord,
+    SolutionRecords,
     cm_relation_check,
     cm_wedge_residual,
     cm_witness_from_record,

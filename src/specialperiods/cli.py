@@ -1,8 +1,10 @@
 """Command-line front end: deterministic tables over matrix files.
 
 All tables are whitespace-delimited text with a '#' header line.  Every
-stdout line is written by one writer, ``_row``, which prints ints in full and
-floats to 15 significant digits, so outputs are diffable across runs.  ``run``
+stdout line is written by one writer, ``_rows``, which prints ints in full and
+floats to 15 significant digits, so outputs are diffable across runs; it
+writes a table from its columns in one format per row, and ``_row`` is its
+one-row case.  ``run``
 loads the matrix file, when the subcommand takes one, before its handler.  Exit
 codes: 0 success, 1 validation or math failure, 2 parse or configuration
 error.  Each flag is declared, converted, defaulted and range-checked once, in
@@ -49,9 +51,28 @@ class RunConfig:
         return 1
 
 
+def _rows(out, *columns) -> None:
+    """Write one stdout line per row of the equal-length columns, all rows in one format:
+    strings as given, ints in full, floats as %.15g, and each row of a 2-D integer
+    array as its ints joined by commas, as ``format_int_vector`` writes a charge."""
+    formats, fields = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.ndim == 2:
+            formats.append(",".join(["%d"] * column.shape[1]))
+            fields += column.T.tolist()
+        elif all(isinstance(value, float) for value in column):
+            formats.append("%.15g")
+            fields.append(column)
+        else:
+            formats.append("%s")
+            fields.append(["%.15g" % value if isinstance(value, float) else str(value) for value in column])
+    line = " ".join(formats) + "\n"
+    out.write("".join([line % row for row in zip(*fields)]))
+
+
 def _row(out, *cols) -> None:
-    """Write one stdout line: strings as given, ints in full, floats as %.15g."""
-    out.write(" ".join(["%.15g" % c if isinstance(c, float) else str(c) for c in cols]) + "\n")
+    """Write one stdout line, the one-row case of ``_rows``."""
+    _rows(out, *([col] for col in cols))
 
 
 def _cmd_validate(args, omega, out) -> int:
@@ -95,18 +116,18 @@ def _cmd_search(args, omega, out) -> int:
         records = special.search_solutions(omega, base, bound=args.bound, tol=args.tol)
     except ValueError as exc:  # a --bound past the floats' exact integers
         raise ParseError(str(exc)) from exc
+    h = omega.genus
     _row(out, "# n m re_c im_c lambda_c degree classification")
-    for rec in records:
-        _row(
-            out,
-            format_int_vector(rec.probe.n),
-            format_int_vector(rec.probe.m),
-            rec.c.real,
-            rec.c.imag,
-            rec.lambda_c,
-            "-" if rec.degree is None else rec.degree,
-            rec.classification,
-        )
+    _rows(
+        out,
+        records.rows[:, :h],
+        records.rows[:, h:],
+        records.c.real.tolist(),
+        records.c.imag.tolist(),
+        records.lambda_c.tolist(),
+        ["-" if degree is None else degree for degree in records.degree.tolist()],
+        records.classification.tolist(),
+    )
     return 0
 
 
@@ -158,9 +179,9 @@ def _cmd_report(args, omega, out) -> int:
         )
     except ValueError as exc:  # a --charge-bound past the int64 pairings
         raise ParseError(str(exc)) from exc
+    values = list(worst.values())
     _row(out, "# identity max_residual tol status")
-    for name, value in worst.items():
-        _row(out, name, value, args.tol, "PASS" if value <= args.tol else "FAIL")
+    _rows(out, list(worst), values, [args.tol] * len(values), ["PASS" if v <= args.tol else "FAIL" for v in values])
     minimum, at_zero = report.positivity_sweep(omega, bound=args.bound)
     positive = minimum > 0 and at_zero == 0.0
     _row(out, "positivity-box", minimum, 0.0, "PASS" if positive else "FAIL")

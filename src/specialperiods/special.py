@@ -10,17 +10,20 @@ classification, scanning only the integer points near the plane of solutions,
 in one thread, so a run's records are reproducible.
 
 Every record takes one path, whether it comes from the box search or from a
-single probe (``solution_record``): the acceptance kernel
-``_scan_rows``, the sign and classification rule ``_normalize``, and the
-record builder ``_record``, which the search feeds the base area once and every
-probe's area from one batched pass that rounds as ``pairings.area`` does.
+single probe (``solution_record``, the one-row case): the acceptance kernel
+``_scan_rows``, then the record builder ``_records``, which applies the sign
+and classification rule and computes c, the eigenvalues and the degree of
+every accepted probe in one array pass.  The search feeds it the base area
+once and every probe's area from one batched pass that rounds as
+``pairings.area`` does, and returns the records as columns
+(``SolutionRecords``), each ``SolutionRecord`` built only when it is read.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,55 +115,106 @@ def _accept_probe(omega, base: LatticeCharge, probe: LatticeCharge, tol: float) 
     return complex(cbars[0])
 
 
-def _normalize(cbar: complex, tol: float):
-    """(sign, c, classification) of an accepted conjugate scale factor.
+@dataclass(frozen=True, eq=False)
+class SolutionRecords(Sequence):
+    """The records of one search, held as read-only columns, one entry per probe.
+
+    It is a sequence: each item is a ``SolutionRecord`` built on demand.  ``rows``
+    holds the probes (n', m') one per row, ``classification`` the names and
+    ``degree`` an int for a special record and None otherwise.
+    """
+
+    rows: np.ndarray
+    c: np.ndarray
+    sign: np.ndarray
+    lambda_c: np.ndarray
+    lambda_c_dual: np.ndarray
+    degree: np.ndarray
+    classification: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        probe, h = tuple(self.rows[i].tolist()), self.rows.shape[1] // 2
+        return SolutionRecord(
+            probe=LatticeCharge(probe[:h], probe[h:]),
+            c=self.c[i].item(),
+            sign=self.sign[i].item(),
+            lambda_c=self.lambda_c[i].item(),
+            lambda_c_dual=self.lambda_c_dual[i].item(),
+            degree=self.degree[i],
+            classification=self.classification[i],
+        )
+
+
+_CLASSES = np.array([SPECIAL_COMPLEX, COLLINEAR_RATIONAL, DEGENERATE], dtype=object)
+
+
+def _square(x: float) -> float:
+    """x ** 2 rounded as Python rounds it (C pow, not x * x), or inf where that overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _degrees(base: LatticeCharge, rows: np.ndarray, sign) -> np.ndarray:
+    """``cover_degree`` of each effective probe sign * (n', m'), a row of ``rows``, over Python ints."""
+    exact, h = rows.astype(object), len(base.n)
+    return sign * (exact[:, h:] @ np.array(base.n, dtype=object) - exact[:, :h] @ np.array(base.m, dtype=object))
+
+
+def _checked_degree(degree: int) -> int:
+    if degree < 1:
+        raise NotIntegralDegree("degree %d is not a positive integer" % degree)
+    return degree
+
+
+@np.errstate(all="ignore")  # a record that is not finite raises DomainError below
+def _records(base, rows: np.ndarray, cbars: np.ndarray, tol: float, base_area: float, probe_areas) -> SolutionRecords:
+    """The records of accepted probes, the rows (n', m') of ``rows``, from their conjugate
+    scale factors and the areas, in one pass over all of them.
 
     The probe is flipped exactly when Im cbar < -tol, so a special record has
-    Im conj(c) > 0.  Negation keeps the sign of a zero imaginary part, which
-    the tables print.
+    Im conj(c) > 0.  Negation keeps the sign of a zero imaginary part, which the
+    tables print.  The first row, in order, whose record is not finite or whose
+    degree is not positive raises DomainError or NotIntegralDegree respectively.
     """
-    sign = 1
-    if cbar.imag < -tol:
-        sign, cbar = -1, -cbar
-    c = complex(np.conj(cbar))
-    if abs(c) <= tol:
-        return sign, c, DEGENERATE
-    if abs(c.imag) <= tol:
-        return sign, c, COLLINEAR_RATIONAL
-    return sign, c, SPECIAL_COMPLEX
-
-
-def _record(base, probe, cbar, tol, base_area: float, probe_area: float) -> SolutionRecord:
-    """The record of an accepted probe, from its conjugate scale factor and the two areas."""
-    sign, c, classification = _normalize(cbar, tol)
-    try:
-        c_squared = abs(c) ** 2
-    except OverflowError:  # |c| past about 1.3e154: one factor |c| at a time
-        lambda_c = 2.0 * base_area * abs(c) * abs(c)
-        lambda_dual = 2.0 * probe_area / abs(c) / abs(c)
-    else:
-        lambda_c = 2.0 * base_area * c_squared
-        # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
-        # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
-        lambda_dual = 2.0 * probe_area / c_squared if c_squared else np.inf
-    if not (
-        cmath.isfinite(c)
-        and math.isfinite(lambda_c)
-        and (math.isfinite(lambda_dual) or classification == DEGENERATE)
-    ):
+    flip = cbars.imag < -tol
+    sign = np.where(flip, -1, 1)
+    c = np.conj(np.where(flip, -cbars, cbars))
+    modulus = np.hypot(c.real, c.imag)  # as abs(complex) rounds it, but inf where that raises
+    kind = np.where(modulus <= tol, 2, np.where(np.abs(c.imag) <= tol, 1, 0))  # indexes _CLASSES
+    squares = np.array([_square(x) for x in modulus.tolist()])
+    over = np.isinf(squares) & np.isfinite(modulus)  # |c| past about 1.3e154: one factor |c| at a time
+    lambda_c = np.where(over, 2.0 * base_area * modulus * modulus, 2.0 * base_area * squares)
+    # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
+    # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
+    twice = 2.0 * probe_areas
+    lambda_dual = np.where(over, twice / modulus / modulus, np.where(squares == 0, np.inf, twice / squares))
+    finite = np.isfinite(c) & np.isfinite(lambda_c) & (np.isfinite(lambda_dual) | (kind == 2))
+    special = kind == 0
+    degree = np.full(len(rows), None, dtype=object)
+    degree[special] = _degrees(base, rows[special], sign[special])
+    failing = ~finite
+    failing[special] |= degree[special] < 1
+    if failing.any():
+        i, h = int(np.argmax(failing)), len(base.n)
+        if finite[i]:
+            _checked_degree(degree[i])  # raises NotIntegralDegree
+        probe = ",".join(map(str, rows[i, :h].tolist())), ",".join(map(str, rows[i, h:].tolist()))
         raise DomainError(
             "the record of probe %s;%s is not finite (c %r, lambda_c %r, lambda_dual %r)"
-            % (",".join(map(str, probe.n)), ",".join(map(str, probe.m)), c, lambda_c, lambda_dual)
+            % (*probe, c[i].item(), lambda_c[i].item(), lambda_dual[i].item())
         )
-    return SolutionRecord(
-        probe=probe,
-        c=c,
-        sign=sign,
-        lambda_c=float(lambda_c),
-        lambda_c_dual=float(lambda_dual),
-        degree=_degree(base, probe, sign) if classification == SPECIAL_COMPLEX else None,
-        classification=classification,
-    )
+    return SolutionRecords(rows, c, sign, lambda_c, lambda_dual, degree, _CLASSES[kind])
 
 
 def solution_record(
@@ -171,8 +225,10 @@ def solution_record(
 ) -> SolutionRecord:
     """Build the full record for one accepted probe, as the box search would."""
     cbar = _accept_probe(omega, base, probe, tol)
-    with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
-        return _record(base, probe, cbar, tol, area(omega, base), area(omega, probe))
+    with np.errstate(over="ignore", invalid="ignore"):  # _records raises DomainError on a record that is not finite
+        base_area, probe_area = area(omega, base), area(omega, probe)
+    rows = np.array([probe.n + probe.m], dtype=object)
+    return _records(base, rows, np.array([cbar]), tol, base_area, np.array([probe_area]))[0]
 
 
 def _free_pairs(bound: int):
@@ -256,15 +312,15 @@ def _plane_rows(omega, v, bound: int, tol: float) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> list:
+def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: float) -> SolutionRecords:
     """Enumerate every probe in the box [-bound, bound]^{2h} except zero.
 
     The kernel scans the rows of ``_plane_rows`` in one call, at every genus, and
-    decides every record; memory follows the candidates, not the box.  Records are
-    sorted lexicographically by (n', m').  Where the plane cannot bound its
-    rounding, on entries near the float range, it raises DomainError.  A bound past
-    2^52 raises ValueError: the plane's interval ends are floats, which hold every
-    integer only up to 2^53.
+    decides every record; memory follows the candidates, not the box.  The records
+    come back as the columns of a ``SolutionRecords``, sorted lexicographically by
+    (n', m').  Where the plane cannot bound its rounding, on entries near the float
+    range, it raises DomainError.  A bound past 2^52 raises ValueError: the plane's
+    interval ends are floats, which hold every integer only up to 2^53.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -276,10 +332,9 @@ def search_solutions(omega: PeriodMatrix, base: LatticeCharge, bound: int, tol: 
     rows = rows[rows.any(axis=1)]
     cbars, residuals = _scan_rows(omega, v, rows)
     rows, cbars = rows[residuals <= tol], cbars[residuals <= tol]
-    with np.errstate(over="ignore"):  # _record raises DomainError on a record that overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # _records raises DomainError on a record that is not finite
         base_area, probe_areas = area(omega, base), areas(omega, rows[:, :h], rows[:, h:])
-        accepted = zip(map(tuple, rows.tolist()), cbars.tolist(), probe_areas.tolist())
-        return [_record(base, LatticeCharge(x[:h], x[h:]), cbar, tol, base_area, a) for x, cbar, a in accepted]
+    return _records(base, rows, cbars, tol, base_area, probe_areas)
 
 
 def _cover_probe(record: SolutionRecord) -> LatticeCharge:
@@ -329,16 +384,8 @@ def cover_degree(omega: PeriodMatrix, base: LatticeCharge, record: SolutionRecor
     u* Im(Omega) u = Im(conj c) (n.m' - n'.m), so the pairing is the area ratio
     ``cover_data(...).degree_raw``, read exactly from the integers.
     """
-    _cover_probe(record)  # raises unless the record has a torus cover
-    return _degree(base, record.probe, record.sign)
-
-
-def _degree(base: LatticeCharge, probe: LatticeCharge, sign: int) -> int:
-    """``cover_degree`` of the effective probe sign * probe, summed over Python ints."""
-    degree = sign * (sum(n * m for n, m in zip(base.n, probe.m)) - sum(n * m for n, m in zip(probe.n, base.m)))
-    if degree < 1:
-        raise NotIntegralDegree("degree %d is not a positive integer" % degree)
-    return degree
+    effective = _cover_probe(record)  # raises unless the record has a torus cover
+    return _checked_degree(_degrees(base, np.array([effective.n + effective.m], dtype=object), 1)[0])
 
 
 @dataclass(frozen=True, eq=False)

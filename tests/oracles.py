@@ -4,26 +4,32 @@ Nothing in ``specialperiods`` calls these.  Each identity residual takes one
 charge and one cycle (or second charge) and evaluates the identity through
 the library's per-charge products, one value at a time; ``tests/test_report.py``
 checks the batched suite of ``report.run_identity_suite`` against them.  The
-rest are small independent routes to quantities the library computes
-(``d_matrix``, ``consistency_ratios``, ``genus2_eigenvalue_family``) and the
-genus-one modular group with the checks built on it.
+record of one accepted probe is built here one scalar at a time (``_record``),
+as the reference for the search's array builder.  The rest are small
+independent routes to quantities the library computes (``d_matrix``,
+``consistency_ratios``, ``genus2_eigenvalue_family``) and the genus-one modular
+group with the checks built on it.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from specialperiods.differentials import eta_bases, lattice_image, period_of, primitive_coeffs
-from specialperiods.errors import DomainError
+from specialperiods.errors import DomainError, NotIntegralDegree
 from specialperiods.genus2 import BRANCH_PLUS, Genus2Params, gamma_complete
 from specialperiods.pairings import (
     _unit_cycles, area, duality_vectors, herm_product, integer_defect, real_products,
     wedge_integrals,
 )
 from specialperiods.siegel import CyclePair, LatticeCharge, PeriodMatrix, checked_modulus
-from specialperiods.special import _accept_probe, _normalize, base_image
+from specialperiods.special import (
+    COLLINEAR_RATIONAL, DEGENERATE, SPECIAL_COMPLEX, SolutionRecord, _accept_probe, base_image,
+)
 from specialperiods.torus import _eigenfunction, torus_eigenvalue
 
 DEFAULT_ETA_TERMS = 64
@@ -225,6 +231,73 @@ def d_matrix_contraction_residual(omega: PeriodMatrix, charge: LatticeCharge) ->
 
 # ---------------------------------------------------------------------------
 # special and genus2
+
+
+def _modulus(c: complex) -> float:
+    """abs(c), or inf where abs raises OverflowError: both parts finite, the modulus not."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
+def _normalize(cbar: complex, tol: float):
+    """(sign, c, classification) of an accepted conjugate scale factor.
+
+    The probe is flipped exactly when Im cbar < -tol, so a special record has
+    Im conj(c) > 0.  Negation keeps the sign of a zero imaginary part, which
+    the tables print.
+    """
+    sign = 1
+    if cbar.imag < -tol:
+        sign, cbar = -1, -cbar
+    c = complex(np.conj(cbar))
+    if _modulus(c) <= tol:
+        return sign, c, DEGENERATE
+    if abs(c.imag) <= tol:
+        return sign, c, COLLINEAR_RATIONAL
+    return sign, c, SPECIAL_COMPLEX
+
+
+def _degree(base: LatticeCharge, probe: LatticeCharge, sign: int) -> int:
+    """Covering degree of the effective probe sign * probe, summed over Python ints."""
+    degree = sign * (sum(n * m for n, m in zip(base.n, probe.m)) - sum(n * m for n, m in zip(probe.n, base.m)))
+    if degree < 1:
+        raise NotIntegralDegree("degree %d is not a positive integer" % degree)
+    return degree
+
+
+def _record(base, probe, cbar, tol, base_area: float, probe_area: float) -> SolutionRecord:
+    """The record of an accepted probe, from its conjugate scale factor and the two areas."""
+    sign, c, classification = _normalize(cbar, tol)
+    try:
+        c_squared = _modulus(c) ** 2
+    except OverflowError:  # |c| past about 1.3e154: one factor |c| at a time
+        lambda_c = 2.0 * base_area * _modulus(c) * _modulus(c)
+        lambda_dual = 2.0 * probe_area / _modulus(c) / _modulus(c)
+    else:
+        lambda_c = 2.0 * base_area * c_squared
+        # 4 A A' / lambda_c without forming A A', which overflows long before the quotient;
+        # |c|^2 is 0 for a degenerate record, or once |c| < ~1e-162 underflows: inf there
+        lambda_dual = 2.0 * probe_area / c_squared if c_squared else np.inf
+    if not (
+        cmath.isfinite(c)
+        and math.isfinite(lambda_c)
+        and (math.isfinite(lambda_dual) or classification == DEGENERATE)
+    ):
+        raise DomainError(
+            "the record of probe %s;%s is not finite (c %r, lambda_c %r, lambda_dual %r)"
+            % (",".join(map(str, probe.n)), ",".join(map(str, probe.m)), c, lambda_c, lambda_dual)
+        )
+    return SolutionRecord(
+        probe=probe,
+        c=c,
+        sign=sign,
+        lambda_c=float(lambda_c),
+        lambda_c_dual=float(lambda_dual),
+        degree=_degree(base, probe, sign) if classification == SPECIAL_COMPLEX else None,
+        classification=classification,
+    )
 
 
 def consistency_ratios(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCharge) -> np.ndarray:

@@ -402,13 +402,17 @@ def test_cli_rejects_non_finite_tau(capsys):
         ["cm-check", "--base", "1;0", "--probe", "2;0"],
         ["search", "--base", "0;1", "--bound", "1"],
         ["cm-check", "--base", "0;1", "--probe", "1;0"],
+        ["search", "--base", "0;1", "--bound", "2"],
+        ["cm-check", "--base", "0;1", "--probe", "2;0"],
     ],
 )
 # lambda_c overflows at 0+8e307i; at 0+1e200i only the product A A' (about 1e402)
 # does, and lambda_dual = 2 A' / |c|^2 stays finite, so that record is printed.
 # Over the base 0;1, |c| is Im tau, and |c|^2 overflows at both, but at 0+1e200i
-# lambda_c = (2 A |c|) |c| and lambda_dual = (2 A' / |c|) / |c| do not
-@pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i"])
+# lambda_c = (2 A |c|) |c| and lambda_dual = (2 A' / |c|) / |c| do not.  At
+# 8e307+8e307i, over the base 0;1, |c| = |2 tau| overflows while both parts of c
+# are finite: the record is not finite, as any whose |c| is inf
+@pytest.mark.parametrize("tau", ["0+8e307i", "0+1e200i", "8e307+8e307i"])
 def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     # the matrix validates, but the record's areas may overflow
     path = tmp_path / "huge.mat"
@@ -418,22 +422,39 @@ def test_cli_rejects_non_finite_records(tmp_path, capsys, argv, tau):
     if tau == "0+1e200i":
         assert code == 0
         line = {
-            ("search", "1;0"): "1 0 1 0 9.86960440108936e+200 - collinear-rational",
-            ("cm-check", "1;0"): "lambda_dual 9.86960440108936e+200",
-            ("search", "0;1"): "1 0 -0 -1e+200 9.86960440108936e+200 1 special-complex",
-            ("cm-check", "0;1"): "lambda_c 9.86960440108936e+200",
-        }[argv[0], argv[2]]
+            ("search", "1;0", "1"): "1 0 1 0 9.86960440108936e+200 - collinear-rational",
+            ("cm-check", "1;0", "2;0"): "lambda_dual 9.86960440108936e+200",
+            ("search", "0;1", "1"): "1 0 -0 -1e+200 9.86960440108936e+200 1 special-complex",
+            ("cm-check", "0;1", "1;0"): "lambda_c 9.86960440108936e+200",
+            ("search", "0;1", "2"): "2 0 -0 -2e+200 3.94784176043574e+201 2 special-complex",
+            ("cm-check", "0;1", "2;0"): "lambda_c 3.94784176043574e+201",
+        }[argv[0], argv[2], argv[4]]
         assert line in out.splitlines()
         return
     assert code == 1
     # cm-check prints its wedge residual before the record, as for a rejected probe
     assert "lambda" not in out and "special" not in out and "collinear" not in out
+    # the batched search reports the first probe in order; the whole error line is pinned
+    probe, c, lambda_dual = {
+        ("0+8e307i", "1;0", "1"): ("-1;-1", "(-1+1.25e-308j)", "inf"),
+        ("0+8e307i", "1;0", "2;0"): ("2;0", "(2+0j)", "inf"),
+        ("0+8e307i", "0;1", "1"): ("-1;-1", "(-1-8e+307j)", "inf"),
+        ("0+8e307i", "0;1", "1;0"): ("1;0", "(-0-8e+307j)", "inf"),
+        ("0+8e307i", "0;1", "2"): ("-2;-2", "(-2-1.6e+308j)", "inf"),
+        ("0+8e307i", "0;1", "2;0"): ("2;0", "(-0-1.6e+308j)", "inf"),
+        ("8e307+8e307i", "1;0", "1"): ("-1;-1", "(-0.9999999999999997+0j)", "inf"),
+        ("8e307+8e307i", "1;0", "2;0"): (None, None, None),
+        ("8e307+8e307i", "0;1", "1"): ("-1;-1", "(8e+307-8e+307j)", "inf"),
+        ("8e307+8e307i", "0;1", "1;0"): ("1;0", "(8e+307-8e+307j)", "inf"),
+        ("8e307+8e307i", "0;1", "2"): ("-2;-2", "(1.6e+308-1.6e+308j)", "nan"),
+        ("8e307+8e307i", "0;1", "2;0"): ("2;0", "(1.6e+308-1.6e+308j)", "nan"),
+    }[tau, argv[2], argv[4]]
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "not finite" in err
-    if argv[0] == "search":
-        # every probe's record overflows; the batched search still reports the first in order
-        c = {"1;0": "(-1+1.25e-308j)", "0;1": "(-1-8e+307j)"}[argv[2]]
-        assert err == "error: the record of probe -1;-1 is not finite (c %s, lambda_c inf, lambda_dual inf)\n" % c
+    if probe is None:  # the probe's image overflows, so the kernel rejects it
+        assert err == "error: probe image is not proportional to the base image (residual inf)\n"
+    else:
+        expected = "error: the record of probe %s is not finite (c %s, lambda_c inf, lambda_dual %s)\n"
+        assert err == expected % (probe, c, lambda_dual)
 
 
 def _in_process(argv):

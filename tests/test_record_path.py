@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from specialperiods import (
     LatticeCharge,
     lattice_image,
     random_siegel_point,
     search_solutions,
     solution_record,
+    special,
 )
+from specialperiods.errors import SpecialPeriodsError
 
 from oracles import solve_c
 
@@ -69,3 +74,80 @@ def test_block_and_single_row_kernels_agree_to_rounding():
     for record in records:
         assert solution_record(omega, base, record.probe, TOL) == record
 
+
+
+# moduli in [1, 2) whose square rounds differently as Python's x ** 2 (C pow) and as x * x;
+# a libm whose pow rounds correctly has none, and then 1.5 stands in
+_POW_ROUNDED = [x for x in np.random.default_rng(0).uniform(1, 2, 20000).tolist() if x**2 != x * x] or [1.5]
+_INT64 = 2**63
+
+
+@st.composite
+def _conjugate_scale_factor(draw, tol):
+    kind = draw(st.sampled_from(["any", "sign edge", "degenerate", "pow overflow", "underflow", "pow rounding"]))
+    signs = st.sampled_from([1.0, -1.0])
+    if kind == "any":
+        return complex(draw(st.floats(width=64)), draw(st.floats(width=64)))
+    if kind == "sign edge":  # the flip rule's comparison at Im cbar = -tol, and the sign of a zero
+        return complex(draw(st.floats(-1e3, 1e3)), draw(st.sampled_from([tol, -tol, 0.0, -0.0])))
+    if kind == "degenerate":
+        return complex(draw(st.floats(-tol / 2, tol / 2)), draw(st.floats(-tol / 2, tol / 2)))
+    if kind == "pow overflow":  # |c| across 1e154-1.35e154, where |c|^2 leaves the float range
+        modulus, t = draw(st.floats(1e154, 1.35e154)), draw(st.floats(0, 1))
+        return complex(draw(signs) * modulus * t, draw(signs) * modulus * (1 - t * t) ** 0.5)
+    if kind == "underflow":  # |c|^2 is 0 or subnormal
+        return complex(draw(st.floats(-1e-160, 1e-160)), draw(st.floats(-1e-160, 1e-160)))
+    # "pow rounding": scaling by a power of two keeps the two squares apart
+    modulus = draw(st.sampled_from(_POW_ROUNDED)) * 2.0 ** draw(st.integers(-400, 400))
+    return complex(draw(signs) * modulus, 0.0) if draw(st.booleans()) else complex(0.0, draw(signs) * modulus)
+
+
+@st.composite
+def _builder_inputs(draw):
+    h = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([1e-9, 5e-2, 1.0]))
+    component = st.one_of(st.integers(-5, 5), st.integers(_INT64, 2**70), st.integers(-(2**70), -_INT64))
+    base = LatticeCharge(*(tuple(draw(st.lists(component, min_size=h, max_size=h))) for _ in "nm"))
+    count = draw(st.integers(1, 6))
+    entries = st.integers(-5, 5) if draw(st.booleans()) else component
+    rows = draw(st.lists(st.lists(entries, min_size=2 * h, max_size=2 * h), min_size=count, max_size=count))
+    # the search passes int64 rows, solution_record object rows of Python ints
+    exact = draw(st.booleans()) or any(abs(x) >= _INT64 for row in rows for x in row)
+    areas = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([0.0, np.inf, np.nan]))
+    cbars = [draw(_conjugate_scale_factor(tol)) for _ in rows]
+    probe_areas = [draw(areas) for _ in rows]
+    return base, np.array(rows, dtype=object if exact else np.int64), cbars, tol, draw(areas), probe_areas
+
+
+def _bits(value):
+    return np.array([value]).view(np.uint64).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_builder_inputs())
+def test_array_builder_equals_the_scalar_reference(case):
+    base, rows, cbars, tol, base_area, probe_areas = case
+    h = base.genus
+    try:
+        expected = [
+            oracles._record(base, LatticeCharge(tuple(x[:h]), tuple(x[h:])), cbar, tol, base_area, a)
+            for x, cbar, a in zip(rows.tolist(), cbars, probe_areas)
+        ]
+    except SpecialPeriodsError as exc:
+        expected = (type(exc), str(exc))
+    try:
+        records = list(special._records(base, rows, np.array(cbars), tol, base_area, np.array(probe_areas)))
+    except SpecialPeriodsError as exc:
+        records = (type(exc), str(exc))
+    if isinstance(expected, tuple) or isinstance(records, tuple):
+        assert records == expected
+        return
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        for field in ("probe", "sign", "degree", "classification"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert [type(x) for x in (got.c, got.sign, got.lambda_c, got.lambda_c_dual, got.degree)] == [
+            type(x) for x in (want.c, want.sign, want.lambda_c, want.lambda_c_dual, want.degree)
+        ]
+        for field in ("c", "lambda_c", "lambda_c_dual"):
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field

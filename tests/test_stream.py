@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import run_cli
 from specialperiods import (
     Genus2Params,
@@ -131,12 +132,12 @@ def test_records_and_tables_independent_of_blocks(
     write_period_matrix(path, omega)
     argv = ["search", str(path), "--base=%s;%s" % (",".join(map(str, base.n)), ",".join(map(str, base.m)))]
     argv += ["--bound", str(bound), "--tol", repr(tol)]
-    reference = repr(search_solutions(omega, base, bound, tol))
+    reference = repr(list(search_solutions(omega, base, bound, tol)))
     code, table = run_cli(argv)
     assert code == 0 and len(table.splitlines()) > 1
     for chunk in CHUNK_SIZES:
         monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
-        assert repr(search_solutions(omega, base, bound, tol)) == reference
+        assert repr(list(search_solutions(omega, base, bound, tol))) == reference
         assert run_cli(argv) == (0, table)
 
 
@@ -271,13 +272,13 @@ def _box_scan(omega, base, bound, tol, chunk=BOX_CHUNK):
         cbars, residuals = special._scan_rows(omega, v, rows)
         for flat, cbar in zip(rows[residuals <= tol].tolist(), cbars[residuals <= tol].tolist()):
             probe = LatticeCharge(flat[:h], flat[h:])
-            records.append(special._record(base, probe, cbar, tol, area(omega, base), area(omega, probe)))
+            records.append(oracles._record(base, probe, cbar, tol, area(omega, base), area(omega, probe)))
     return records
 
 
 def _outcome(search, omega, base, bound, tol):
     try:
-        return repr(search(omega, base, bound, tol))
+        return repr(list(search(omega, base, bound, tol)))
     except SpecialPeriodsError as exc:
         return "%s: %s" % (type(exc).__name__, exc)
 
@@ -323,7 +324,7 @@ def test_screened_search_equals_the_unscreened_one(monkeypatch, worked_case, nam
         monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
     omega, base = _screen_case(name, worked_case)
     records = search_solutions(omega, base, bound, tol)
-    assert repr(records) == repr(_box_scan(omega, base, bound, tol, chunk or BOX_CHUNK))
+    assert repr(list(records)) == repr(_box_scan(omega, base, bound, tol, chunk or BOX_CHUNK))
     assert records
 
 
@@ -352,7 +353,7 @@ def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound)
         candidates = set(map(tuple, special._plane_rows(omega, v, bound, tol).tolist()))
         assert {row for row, r in pairs if r <= tol} <= candidates
         records = search_solutions(omega, base, bound, tol)
-        assert repr(records) == repr(_box_scan(omega, base, bound, tol, 125))
+        assert repr(list(records)) == repr(_box_scan(omega, base, bound, tol, 125))
         assert len(records) == np.count_nonzero(residuals <= tol)
 
 
@@ -427,7 +428,7 @@ def test_plane_interval_ends_past_int64():
         warnings.simplefilter("error")
         records = search_solutions(omega, base, 2, 1e-9)
     assert len(records) == 4
-    assert repr(records) == repr(_box_scan(omega, base, 2, 1e-9))
+    assert repr(list(records)) == repr(_box_scan(omega, base, 2, 1e-9))
 
 
 @pytest.mark.parametrize("h,seed", [(2, 2), (3, 7)])
