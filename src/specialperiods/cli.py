@@ -85,11 +85,16 @@ def _cmd_validate(args, omega, out) -> int:
     return 0
 
 
-def _cmd_torus(args, omega, out) -> int:
+def _torus_table(args) -> list:
+    """Both torus tables' entries, read before any header so that a bad --max prints nothing."""
     try:
-        table = torus.spectrum_table(args.tau, args.max)
+        return torus.spectrum_table(args.tau, args.max)
     except (ValueError, MemoryError) as exc:  # a --max box too large for numpy, or for memory
         raise ParseError(str(exc)) from exc
+
+
+def _cmd_torus(args, omega, out) -> int:
+    table = _torus_table(args)
     _row(out, "# n m re_c im_c lambda mu")
     for entry in table:
         _row(out, *entry.charge, entry.c.real, entry.c.imag, entry.lam, entry.mu)
@@ -97,10 +102,7 @@ def _cmd_torus(args, omega, out) -> int:
 
 
 def _cmd_torus_fd(args, omega, out) -> int:
-    try:
-        table = torus.spectrum_table(args.tau, args.max)
-    except (ValueError, MemoryError) as exc:  # a --max box too large for numpy, or for memory
-        raise ParseError(str(exc)) from exc
+    table = _torus_table(args)
     _row(out, "# n m lambda resid_N resid_2N ratio")
     for entry in table:
         n, m = entry.charge

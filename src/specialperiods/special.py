@@ -84,6 +84,12 @@ def base_image(omega: PeriodMatrix, base: LatticeCharge) -> np.ndarray:
     return v
 
 
+def _exponent(x) -> int:
+    """The binary exponent of max |x|, or 0 below 1: x * 2.0**-_exponent(x) is under 1 in modulus."""
+    return max(int(np.frexp(np.max(np.abs(x)))[1]), 0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a probe whose image or residual overflows is rejected
 def _scan_rows(omega, v, rows: np.ndarray):
     """The acceptance kernel: conjugate scale factor and residual of each probe.
 
@@ -96,7 +102,10 @@ def _scan_rows(omega, v, rows: np.ndarray):
     images = m_part - n_part @ omega.entries
     anchor = int(np.argmax(np.abs(v)))
     scale = np.max(np.abs(v))
-    cbars = images[:, anchor] / v[anchor]
+    # both operands at one power-of-two scale, which rounds exactly, so that numpy's
+    # complex division cannot overflow within on finite operands near the float range
+    unit = 2.0 ** -_exponent(v)
+    cbars = (images[:, anchor] * unit) / (v[anchor] * unit)
     residuals = np.max(np.abs(images - cbars[:, None] * v[None, :]), axis=1) / scale
     return cbars, residuals
 
@@ -269,7 +278,8 @@ def _plane_rows(omega, v, bound: int, tol: float) -> np.ndarray:
     # 3.6) the kernel's max_j |image_j - cbar v_j| is within (1.5h + 10) eps bound mag of
     # max_j |D_j|, and x @ lin, exact on the computed lin, within (3h + 8) eps bound mag;
     # 64h eps bound mag bounds their sum with room for second-order terms.  Underflow adds
-    # at most eps tiny per operation, and 1 + 4 eps covers the comparisons and tol max|v|.
+    # at most eps tiny per operation, or eps tiny max|v| <= 4 eps mag in the kernel's division,
+    # which runs at the scale of v, and 1 + 4 eps covers the comparisons and tol max|v|.
     # So every accepted x has |K x| <= limit, and nothing overflows if 4 bound mag is finite.
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     mag = float(np.abs(units).max(axis=1).sum())
@@ -421,7 +431,7 @@ def cm_wedge_residual(omega: PeriodMatrix, base: LatticeCharge, probe: LatticeCh
     """
     v, vp = lattice_image(omega, base), lattice_image(omega, probe)
     # scaled below 1 by powers of two, which round exactly, so the outer product cannot overflow
-    ev, evp = (max(int(np.frexp(np.max(np.abs(x)))[1]), 0) for x in (v, vp))
+    ev, evp = _exponent(v), _exponent(vp)
     outer = (v * 2.0**-ev)[:, None] * (vp * 2.0**-evp)[None, :]
     return float(np.ldexp(np.max(np.abs(outer - outer.T)), ev + evp))
 

@@ -60,20 +60,14 @@ def _fd_laplacian(samples: np.ndarray, tau: complex, N: int) -> np.ndarray:
 
     In the (x, y) chart with z = x + tau y the operator reads
     -(|tau|^2 d_xx - 2 Re(tau) d_xy + d_yy) / (2 Im(tau)^2); the mixed term
-    needs the centered four-point cross stencil whenever Re(tau) != 0.
+    uses the centered four-point cross stencil.
     """
     t1, t2 = tau.real, tau.imag
     scale = float(N * N)
-    dxx = (np.roll(samples, -1, 0) - 2 * samples + np.roll(samples, 1, 0)) * scale
+    up, down = np.roll(samples, -1, 0), np.roll(samples, 1, 0)
+    dxx = (up - 2 * samples + down) * scale
     dyy = (np.roll(samples, -1, 1) - 2 * samples + np.roll(samples, 1, 1)) * scale
-    if t1 != 0.0:
-        up = np.roll(samples, -1, 0)
-        down = np.roll(samples, 1, 0)
-        dxy = (
-            np.roll(up, -1, 1) - np.roll(up, 1, 1) - np.roll(down, -1, 1) + np.roll(down, 1, 1)
-        ) * (scale / 4.0)
-    else:
-        dxy = 0.0
+    dxy = (np.roll(up, -1, 1) - np.roll(up, 1, 1) - np.roll(down, -1, 1) + np.roll(down, 1, 1)) * (scale / 4.0)
     return -(abs(tau) ** 2 * dxx - 2 * t1 * dxy + dyy) / (2 * t2 * t2)
 
 

@@ -89,7 +89,7 @@ def test_free_pairs_at_the_largest_bound():
     np.testing.assert_array_equal(first, expected)
 
 
-def test_single_block_and_zero_prefix_block_drop_one_row(monkeypatch, worked_case):
+def test_single_chunk_and_the_zero_chunk_drop_one_row(monkeypatch, worked_case):
     # genus 1 at bound 3: the 49 free pairs fit in one chunk
     omega, base = random_siegel_point(1, 0), LatticeCharge((1,), (0,))
     [rows] = special._free_pairs(3)
@@ -291,7 +291,7 @@ TIED = [
 ]
 
 
-def _screen_case(name, worked_case):
+def _plane_case(name, worked_case):
     """(omega, base) of a named oracle case."""
     kind, _, index = name.partition("-")
     if kind == "worked":
@@ -309,7 +309,7 @@ def _screen_case(name, worked_case):
     return omega, base
 
 
-SCREEN_CASES = (
+PLANE_CASES = (
     [("worked", 2, 1e-9, None), ("worked", 6, 1e-9, None), ("worked", 4, 5e-2, 121)]
     + [("seeded-%d" % h, bound, tol, None) for h, bound in ((2, 6), (3, 3), (4, 2)) for tol in (1e-9, 5e-2)]
     + [("tied-%d" % i, 4, 1e-9, 25) for i in range(len(TIED))]
@@ -317,18 +317,18 @@ SCREEN_CASES = (
 )
 
 
-@pytest.mark.parametrize("name,bound,tol,chunk", SCREEN_CASES)
+@pytest.mark.parametrize("name,bound,tol,chunk", PLANE_CASES)
 def test_screened_search_equals_the_unscreened_one(monkeypatch, worked_case, name, bound, tol, chunk):
     # a chunk size, where given, applies to the search's free pairs and to the oracle's box
     if chunk is not None:
         monkeypatch.setattr(special, "_CHUNK_ROWS", chunk)
-    omega, base = _screen_case(name, worked_case)
+    omega, base = _plane_case(name, worked_case)
     records = search_solutions(omega, base, bound, tol)
     assert repr(list(records)) == repr(_box_scan(omega, base, bound, tol, chunk or BOX_CHUNK))
     assert records
 
 
-def _block_residuals(omega, base, bound, chunk=BOX_CHUNK):
+def _chunk_residuals(omega, base, bound, chunk=BOX_CHUNK):
     """(row, kernel residual) of every nonzero box row, each computed within its own chunk."""
     v = special.base_image(omega, base)
     return [
@@ -343,9 +343,9 @@ def test_screen_at_the_tolerance_boundary(monkeypatch, worked_case, name, bound)
     # tol equal to a row's own kernel residual: the kernel accepts that row, so
     # the plane must yield it although the plane's bound rounds differently
     monkeypatch.setattr(special, "_CHUNK_ROWS", 125)
-    omega, base = _screen_case(name, worked_case)
+    omega, base = _plane_case(name, worked_case)
     v = special.base_image(omega, base)
-    pairs = _block_residuals(omega, base, bound, 125)
+    pairs = _chunk_residuals(omega, base, bound, 125)
     residuals = np.array([r for _, r in pairs])
     accepted = np.unique(residuals[residuals <= 1e-9])
     rejected = np.unique(residuals[residuals > 1e-9])
@@ -361,7 +361,7 @@ def test_false_positives_keep_the_table(worked_case):
     # tol just above the smallest rejected residual 0.07219: the special records are
     # false positives whose area ratio (2.3377 for one) is not an integer; their degree
     # is read from the pairing, and cover_data's monodromy check rejects them
-    omega, base = _screen_case("seeded-3", worked_case)
+    omega, base = _plane_case("seeded-3", worked_case)
     records = search_solutions(omega, base, 2, 0.0722)
     specials = [r for r in records if r.classification == "special-complex"]
     assert len(records) == 12 and specials
@@ -373,7 +373,7 @@ def test_false_positives_keep_the_table(worked_case):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e300, 1e307])
-def test_screen_on_huge_entries(scale):
+def test_plane_on_huge_entries(scale):
     # the plane is enumerated while 4 bound mag is finite; beyond, the search refuses
     omega = validate_period_matrix(random_siegel_point(3, 0).entries * scale)
     base = LatticeCharge((1, -1, -1), (0, -1, 0))
@@ -393,7 +393,7 @@ def test_screen_on_huge_entries(scale):
 def _oracle_cases(draw):
     h = draw(st.integers(1, 4))
     if h == 2 and draw(st.booleans()):
-        omega, base = _screen_case("tied-%d" % draw(st.integers(0, len(TIED) - 1)), None)
+        omega, base = _plane_case("tied-%d" % draw(st.integers(0, len(TIED) - 1)), None)
     else:
         seed = draw(st.integers(0, 10**6))
         omega, base = random_siegel_point(h, seed), _unit_base(h, seed)
